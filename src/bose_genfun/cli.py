@@ -26,7 +26,7 @@ from .fockoracle import (bch_check, bogoliubov_action_defect, build_space,
 from .genfun import (QuadratureSpec, cumulants,
                      fourth_central_printed_combination, log_mgf_closed,
                      log_mgf_grid)
-from .lattice import Lattice, build_lattice, lattice_from_vectors
+from .lattice import build_lattice, lattice_from_vectors
 from .observable import (certified_domain, log_mgf_diagonal_sequence,
                          log_mgf_general, observable_from_csv,
                          observable_mean, observable_random, solve_F)
@@ -167,17 +167,17 @@ def parse_config(path: str, seed_override: int | None = None,
                      seed=seed, sha256=sha)
 
 
-def _pipeline(cfg: RunConfig) -> tuple[float, float, Lattice, SpectrumKernel]:
-    """potential -> effective scattering quantity -> lattice -> kernel."""
-    a_eff = scattering_length(cfg.potential, convention=cfg.convention)
-    a16pi = 16.0 * math.pi * a_eff
-    lat = build_lattice(cfg.cutoff_m)
-    return a_eff, a16pi, lat, build_kernel(lat, a16pi)
+def _a16pi(cfg: RunConfig) -> float:
+    """potential -> effective scattering quantity a_eff -> 16 pi a_eff."""
+    return 16.0 * math.pi * scattering_length(cfg.potential, convention=cfg.convention)
 
 
-def _desk_kernel(cfg: RunConfig, pairs: int, a16pi: float):
-    lat = lattice_from_vectors(_DESK_VECTORS[pairs])
-    return lat, build_kernel(lat, a16pi)
+def _cube_kernel(cfg: RunConfig) -> SpectrumKernel:
+    return build_kernel(build_lattice(cfg.cutoff_m), _a16pi(cfg))
+
+
+def _desk_kernel(pairs: int, a16pi: float) -> SpectrumKernel:
+    return build_kernel(lattice_from_vectors(_DESK_VECTORS[pairs]), a16pi)
 
 
 def _lambda_grid(cfg: RunConfig, limit: float, warnings: list) -> np.ndarray:
@@ -243,37 +243,42 @@ def _emit(cfg, command, columns, rows, extra_meta, warnings) -> None:
 
 def cmd_scattering(cfg: RunConfig) -> int:
     pot = cfg.potential
-    a_eff, a16pi, _, k = _pipeline(cfg)
     if pot.kind in ("zero", "direct"):
-        a = pot.a if pot.kind == "direct" else 0.0
-        row = [pot.kind, a, a, a_eff, 0.0]
+        a_eff = scattering_length(pot, convention=cfg.convention)
+        row = [pot.kind, a_eff, a_eff, a_eff, 0.0]
     else:
+        # the solve scattering_length runs (v = 0 gives 0), done once here
         sol = solve_scattering(pot, r_max=4.0 * pot.support_radius, n_grid=4096)
+        a_eff = (0.0 if pot.v == 0.0 else
+                 sol.a_paper if cfg.convention == "paper" else sol.a_std)
         row = [pot.kind, sol.a_std, sol.a_paper, a_eff, sol.residual]
+    a16pi = 16.0 * math.pi * a_eff
+    # |nu_p| decreases with |p|^2 and every cube holds the |n|^2 = 1 shell,
+    # so the one-pair lattice {+-(1,0,0)} has the cube's lambda0 bit for bit
     _emit(cfg, "scattering",
           ["kind", "a_std", "a_paper", "a_effective", "residual"], [row],
-          {"lambda0": k.lambda0, "a16pi": a16pi}, [])
+          {"lambda0": _desk_kernel(1, a16pi).lambda0, "a16pi": a16pi}, [])
     return EXIT_OK
 
 
 def cmd_genfun(cfg: RunConfig) -> int:
     warnings: list = []
-    _, a16pi, _, k = _pipeline(cfg)
+    k = _cube_kernel(cfg)
     lams = _lambda_grid(cfg, k.lambda0 * (1.0 - 1e-9) if math.isfinite(k.lambda0)
                         else math.inf, warnings)
     quad_vals = log_mgf_grid(k, lams, cfg.quadrature)
     rows = []
     for lam, qv in zip(lams, quad_vals):
-        cv = log_mgf_closed(k, float(lam)).value
+        cv = log_mgf_closed(k, float(lam))
         rows.append([float(lam), float(qv), cv, abs(float(qv) - cv), math.exp(cv)])
     _emit(cfg, "genfun",
           ["lambda", "log_mgf_quadrature", "log_mgf_closed", "abs_diff", "mgf"],
-          rows, {"lambda0": k.lambda0, "a16pi": a16pi}, warnings)
+          rows, {"lambda0": k.lambda0, "a16pi": k.a16pi}, warnings)
     return EXIT_OK
 
 
 def cmd_moments(cfg: RunConfig) -> int:
-    _, a16pi, _, k = _pipeline(cfg)
+    k = _cube_kernel(cfg)
     cum = cumulants(k, 4)
     mu, var = cum.kappa[1], cum.kappa[2]
     c3, c4 = cum.central[3], cum.central[4]
@@ -284,13 +289,13 @@ def cmd_moments(cfg: RunConfig) -> int:
           ["mean", "variance", "central3", "central4",
            "printed_fourth_combination", "printed_discrepancy",
            "printed_disagrees"],
-          [row], {"lambda0": k.lambda0, "a16pi": a16pi}, [])
+          [row], {"lambda0": k.lambda0, "a16pi": k.a16pi}, [])
     return EXIT_OK
 
 
 def cmd_tails(cfg: RunConfig, n_list=None) -> int:
     warnings: list = []
-    _, a16pi, _, k = _pipeline(cfg)
+    k = _cube_kernel(cfg)
     mu = depletion_mean(k)
     sigma = math.sqrt(depletion_variance(k))
     ns = n_list if n_list is not None else cfg.n_list
@@ -312,14 +317,13 @@ def cmd_tails(cfg: RunConfig, n_list=None) -> int:
     else:
         warnings.append("witness skipped: zero-variance depletion")
     _emit(cfg, "tails", columns, rows,
-          {"lambda0": k.lambda0, "a16pi": a16pi, "mean": mu,
+          {"lambda0": k.lambda0, "a16pi": k.a16pi, "mean": mu,
            "sigma": sigma}, warnings)
     return EXIT_OK
 
 
 def cmd_observable(cfg: RunConfig) -> int:
     warnings: list = []
-    a_eff, a16pi, lat, k = _pipeline(cfg)
     kind = cfg.observable["kind"]
     columns = ["lambda", "log_mgf_o", "mean_o", "certified_domain",
                "fp_residual", "symmetry_residual", "exchange_residual"]
@@ -331,33 +335,34 @@ def cmd_observable(cfg: RunConfig) -> int:
     if kind == "identity":
         # Full-lattice route: identity weights reduce to the diagonal
         # sequence, checked against the closed form per grid point.
+        k = _cube_kernel(cfg)
         limit = k.lambda0 * (1.0 - 1e-9) if math.isfinite(k.lambda0) else math.inf
         lams = _lambda_grid(cfg, limit, warnings)
         tau = np.ones(k.size)
         mu_o = depletion_mean(k)
         for lam in lams:
             val = log_mgf_diagonal_sequence(k, tau, float(lam), cfg.quadrature)
-            closed = log_mgf_closed(k, float(lam)).value
+            closed = log_mgf_closed(k, float(lam))
             rows.append([float(lam), val, mu_o, k.lambda0,
                          abs(val - closed), 0.0, 0.0])
         _emit(cfg, "observable", columns, rows,
-              {"lambda0": k.lambda0, "a16pi": a16pi, "observable": "identity"},
+              {"lambda0": k.lambda0, "a16pi": k.a16pi, "observable": "identity"},
               warnings)
         return EXIT_OK
 
     if kind == "random":
         pairs = int(cfg.observable.get("pairs", 2))
-        dlat, dk = _desk_kernel(cfg, pairs, a16pi)
+        work_k = _desk_kernel(pairs, _a16pi(cfg))
         seed = int(cfg.observable.get("seed", cfg.seed))
         ensemble = cfg.observable.get("ensemble", "real-parity")
-        obs = observable_random(dlat, seed, ensemble=ensemble)
-        work_k = dk
+        obs = observable_random(work_k.lattice, seed, ensemble=ensemble)
     else:  # csv
-        if lat.size > _CSV_OBS_MODE_CAP:
+        modes = (2 * cfg.cutoff_m + 1) ** 3 - 1
+        if modes > _CSV_OBS_MODE_CAP:
             raise ConfigError(f"csv observables need <= {_CSV_OBS_MODE_CAP} modes "
-                              f"(cutoff_m={cfg.cutoff_m} gives {lat.size})")
-        obs = observable_from_csv(lat, cfg.observable["path"])
-        work_k = k
+                              f"(cutoff_m={cfg.cutoff_m} gives {modes})")
+        work_k = _cube_kernel(cfg)
+        obs = observable_from_csv(work_k.lattice, cfg.observable["path"])
 
     dom = certified_domain(work_k, obs)
     limit = min(dom, work_k.lambda0) * (1.0 - 1e-9)
@@ -372,7 +377,7 @@ def cmd_observable(cfg: RunConfig) -> int:
             res = (0.0, 0.0, 0.0)
         rows.append([float(lam), val, mu_o, dom, *res])
     _emit(cfg, "observable", columns, rows,
-          {"lambda0": work_k.lambda0, "a16pi": a16pi, "observable": kind},
+          {"lambda0": work_k.lambda0, "a16pi": work_k.a16pi, "observable": kind},
           warnings)
     return EXIT_OK
 
@@ -390,9 +395,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    _, a16pi, _, _ = _pipeline(cfg)
-    dlat, dk = _desk_kernel(cfg, pairs, a16pi)
-    dlat1, dk1 = _desk_kernel(cfg, 1, a16pi)
+    a16pi = _a16pi(cfg)
+    dk = _desk_kernel(pairs, a16pi)
+    dk1 = _desk_kernel(1, a16pi)
     nu_by_pair = [float(dk.nu[i]) for i, _ in dk.lattice.pairs]
     nu1 = [float(dk1.nu[i]) for i, _ in dk1.lattice.pairs]
     lam = 0.25 * min(dk.lambda0, 2.0)
@@ -408,14 +413,14 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     try:
         mg1 = mgf_oracle(space1, nu1, np.eye(2), lam)
-        closed1 = log_mgf_closed(dk1, lam).value
+        closed1 = log_mgf_closed(dk1, lam)
         record("mgf_1pair_vs_closed", abs(math.log(mg1.value) - closed1),
                max(1e-10, 10.0 * mg1.truncation_estimate),
                f"lambda={lam:.6g}")
         record("mgf_1pair_truncation", mg1.truncation_estimate, 1e-6)
 
         mg = mgf_oracle(space, nu_by_pair, np.eye(2 * pairs), lam)
-        closed = log_mgf_closed(dk, lam).value
+        closed = log_mgf_closed(dk, lam)
         record(f"mgf_{pairs}pair_vs_closed", abs(math.log(mg.value) - closed),
                max(1e-8, 10.0 * mg.truncation_estimate), f"lambda={lam:.6g}")
 

@@ -11,10 +11,11 @@ Two equivalent evaluations of Lambda(lambda) are kept side by side:
   t - c^2 s^2 (t - 1)^2 = (c^2 t - s^2)(c^2 - t s^2), t = e^{2 kappa}.
 
 The closed form is the oracle of record; the integral form is tested
-against it.  Cumulants come from differentiating the closed form
-analytically: per mode, g(lambda) = e^{2l} s^2 / (c^2 - e^{2l} s^2)
-satisfies g' = 2g + 2g^2, so every derivative of Lambda at 0 is an exact
-integer polynomial in s_p^2.
+against it.  Both the closed form and the cumulants come from the one
+closed-form engine spectrum.log_mgf_derivatives: per mode,
+g(lambda) = e^{2l} s^2 / (c^2 - e^{2l} s^2) satisfies g' = 2g + 2g^2, so
+every derivative of Lambda is an exact integer polynomial in g.  Every
+quadrature goes through _quad, which raises on QUADPACK non-convergence.
 """
 
 from __future__ import annotations
@@ -25,21 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from .spectrum import SpectrumKernel, depletion_mean
+from .spectrum import (SpectrumKernel, _check_domain, depletion_mean,
+                       depletion_variance, log_mgf_derivatives)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     tol: float = 1e-10
     max_panels: int = 200
-
-
-@dataclass(frozen=True)
-class GenFunSample:
-    lam: float
-    value: float
-    integrand_value: float
-    method: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,9 +49,16 @@ class CumulantSet:
 _ORDER_CAP = 12
 
 
-def _check_domain(k: SpectrumKernel, lam: float) -> None:
-    if not abs(lam) < k.lambda0:
-        raise ValueError(f"lambda {lam} outside domain (-{k.lambda0}, {k.lambda0})")
+def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None) -> float:
+    """int_lo^hi f by QUADPACK; ArithmeticError if it reports non-convergence."""
+    quad = quad or QuadratureSpec()
+    val, _, _, *tail = scipy.integrate.quad(
+        f, lo, hi, epsabs=quad.tol, epsrel=quad.tol, limit=quad.max_panels,
+        full_output=1)
+    if tail:  # QUADPACK appended a warning; its first line names the cause
+        raise ArithmeticError(f"quadrature on [{lo:.9g}, {hi:.9g}] did not "
+                              f"converge: {tail[0].splitlines()[0]}")
+    return float(val)
 
 
 def integrand_diagonal(k: SpectrumKernel, kappa: float) -> float:
@@ -71,43 +72,24 @@ def integrand_diagonal(k: SpectrumKernel, kappa: float) -> float:
     return float(np.sum(num / den))
 
 
-def log_mgf(k: SpectrumKernel, lam: float, quad: QuadratureSpec | None = None) -> GenFunSample:
+def log_mgf(k: SpectrumKernel, lam: float, quad: QuadratureSpec | None = None) -> float:
     """Lambda(lambda) by adaptive quadrature of the diagonal integrand."""
-    quad = quad or QuadratureSpec()
-    _check_domain(k, lam)
-    if lam == 0.0:
-        return GenFunSample(lam=0.0, value=0.0, integrand_value=0.0, method="quadrature")
-    mu = depletion_mean(k)
-    val, abserr, info, *tail = scipy.integrate.quad(
-        lambda x: integrand_diagonal(k, x), 0.0, lam,
-        epsabs=quad.tol, epsrel=quad.tol, limit=quad.max_panels, full_output=1)
-    if tail:  # QUADPACK appended a warning message
-        raise ValueError(f"quadrature did not converge: {tail[0]}")
-    return GenFunSample(lam=lam, value=float(val + lam * mu),
-                        integrand_value=integrand_diagonal(k, lam), method="quadrature")
+    return float(log_mgf_grid(k, np.array([lam]), quad)[0])
 
 
-def log_mgf_closed(k: SpectrumKernel, lam: float) -> GenFunSample:
+def log_mgf_closed(k: SpectrumKernel, lam: float) -> float:
     """Closed product form -1/2 sum log(c^2 - e^{2 lambda} s^2)."""
-    _check_domain(k, lam)
-    t = math.exp(2.0 * lam)
-    args = k.c * k.c - t * (k.s * k.s)
-    if np.any(args <= 0.0):
-        raise ValueError("log argument nonpositive: lambda outside domain")
-    value = -0.5 * math.fsum(math.log(a) for a in args)
-    return GenFunSample(lam=lam, value=value,
-                        integrand_value=integrand_diagonal(k, lam), method="closed_form")
+    return log_mgf_derivatives(k, lam, 0)[0]
 
 
 def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
                  quad: QuadratureSpec | None = None) -> np.ndarray:
     """Quadrature Lambda on a sorted grid, integrating each gap only once."""
-    quad = quad or QuadratureSpec()
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0:
         return np.zeros(0)
-    if np.any(np.abs(lams) >= k.lambda0):
-        raise ValueError("grid extends outside the MGF domain")
+    if not np.all(np.abs(lams) < k.lambda0):
+        raise ValueError(f"grid extends outside the MGF domain (-{k.lambda0}, {k.lambda0})")
     order = np.argsort(lams)
     pts = lams[order]
     mu = depletion_mean(k)
@@ -117,10 +99,7 @@ def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
         # walk outward from 0 so each inter-point gap is integrated once
         prev_x, prev_v = 0.0, 0.0
         for i in indices:
-            seg, _ = scipy.integrate.quad(
-                lambda x: integrand_diagonal(k, x), prev_x, pts[i],
-                epsabs=quad.tol, epsrel=quad.tol, limit=quad.max_panels)
-            prev_v += seg
+            prev_v += _quad(lambda x: integrand_diagonal(k, x), prev_x, pts[i], quad)
             prev_x = pts[i]
             vals[i] = prev_v
 
@@ -131,40 +110,13 @@ def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
     return out
 
 
-def _derivative_polynomials(order: int) -> list[list[int]]:
-    """Integer coefficients of d^n g / d lambda^n as polynomials in g.
-
-    g' = 2g + 2g^2; polys[n][j] is the coefficient of g^{j+1} in g^{(n)}.
-    """
-    polys = [[1]]  # g itself
-    for _ in range(order - 1):
-        cur = polys[-1]
-        # differentiate sum_j a_j g^{j+1}:  sum_j a_j (j+1) g^j * (2g + 2g^2)
-        nxt = [0] * (len(cur) + 1)
-        for j, a in enumerate(cur):
-            nxt[j] += 2 * a * (j + 1)
-            nxt[j + 1] += 2 * a * (j + 1)
-        polys.append(nxt)
-    return polys
-
-
 def cumulants(k: SpectrumKernel, order: int) -> CumulantSet:
     """kappa[j] = Lambda^{(j)}(0) for j = 1..order, plus raw/central moments."""
     if order < 1:
         raise ValueError("order must be >= 1")
     if order > _ORDER_CAP:
         raise ValueError(f"order > {_ORDER_CAP} refused: coefficient growth")
-    g0 = (k.s * k.s).astype(float)
-    polys = _derivative_polynomials(order)
-    kap = np.zeros(order + 1)
-    for j in range(1, order + 1):
-        coeffs = polys[j - 1]
-        per_mode = np.zeros_like(g0)
-        for power in range(len(coeffs), 0, -1):
-            per_mode = per_mode * g0 + coeffs[power - 1]
-        per_mode = per_mode * g0  # lowest power is g^1
-        kap[j] = math.fsum(per_mode.tolist())
-
+    kap = np.array(log_mgf_derivatives(k, 0.0, order))  # kap[0] = Lambda(0) = 0
     moments = _moments_from_cumulants(kap, order)
     central_kap = kap.copy()
     central_kap[1] = 0.0
@@ -193,7 +145,7 @@ def mgf_derivative_check(k: SpectrumKernel, lam: float, j: int) -> float:
             raise ValueError("finite-difference stencil exits the MGF domain")
 
     def f(x: float) -> float:
-        return math.exp(log_mgf_closed(k, x).value)
+        return math.exp(log_mgf_closed(k, x))
 
     if j == 1:
         return (f(lam + h) - f(lam - h)) / (2 * h)
@@ -207,6 +159,6 @@ def mgf_derivative_check(k: SpectrumKernel, lam: float, j: int) -> float:
 def fourth_central_printed_combination(k: SpectrumKernel) -> float:
     """The alternative printed fourth-moment combination 12 sigma^4 + 8 sigma^2
     + 48 sum c^4 s^4, reported for comparison and never asserted."""
-    sig2 = 2.0 * math.fsum(((k.s * k.c) ** 2).tolist())
+    sig2 = depletion_variance(k)
     quart = math.fsum(((k.c * k.s) ** 4).tolist())
     return 12.0 * sig2 ** 2 + 8.0 * sig2 + 48.0 * quart

@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
-from .genfun import QuadratureSpec
+from .genfun import QuadratureSpec, _quad
 from .lattice import Lattice
 from .spectrum import SpectrumKernel
 
@@ -114,13 +113,27 @@ def observable_random(lattice: Lattice, seed: int,
 
 
 def observable_from_csv(lattice: Lattice, path) -> ObservableKernel:
-    """Load O from rows (p_index, q_index, re, im)."""
+    """Load O from rows (p_index, q_index, re, im).
+
+    Each row has four fields, indices lie in [0, lattice.size) and each
+    (p, q) appears once; a row breaking a rule raises ValueError naming its
+    line.
+    """
     o = np.zeros((lattice.size, lattice.size), dtype=complex)
+    seen = set()
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for line, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].lstrip().startswith("#") or row[0] == "p_index":
                 continue
+            if len(row) != 4:
+                raise ValueError(f"{path} line {line}: expected 4 fields, got {len(row)}")
             p, q, re, im = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+            if not (0 <= p < lattice.size and 0 <= q < lattice.size):
+                raise ValueError(f"{path} line {line}: index ({p}, {q}) outside "
+                                 f"[0, {lattice.size})")
+            if (p, q) in seen:
+                raise ValueError(f"{path} line {line}: duplicate entry ({p}, {q})")
+            seen.add((p, q))
             o[p, q] = re + 1j * im
     return observable_from_matrix(lattice, o)
 
@@ -147,7 +160,7 @@ class _Factors:
     """Per-(observable, kappa) matrices shared between A and D."""
 
     def __init__(self, k: SpectrumKernel, obs: ObservableKernel, kappa: float):
-        if obs.lattice is not k.lattice and obs.size != k.size:
+        if not np.array_equal(obs.lattice.vectors, k.lattice.vectors):
             raise ValueError("observable and kernel live on different lattices")
         self.s, self.c, self.t = k.s, k.c, k.t
         self.neg = k.lattice.neg_index
@@ -494,7 +507,6 @@ def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lam: float,
                     variant: str = "derived") -> float:
     """Lambda_O(lambda) = int_0^lambda Re sum s_p c_q O_pq Fhat_pq(kappa) dkappa
     + lambda mu_O, solving the fixed point (with G = 1) at each node."""
-    quad = quad or QuadratureSpec()
     dom = certified_domain(k, obs, variant=variant)
     if not abs(lam) < dom:
         raise ValueError(f"lambda {lam} outside certified contraction domain "
@@ -510,12 +522,7 @@ def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lam: float,
         sol = solve_F(k, obs, kappa, method=method, variant=variant)
         return float(np.sum(weight * sol.F).real)
 
-    out = scipy.integrate.quad(integrand, 0.0, lam, epsabs=quad.tol,
-                               epsrel=quad.tol, limit=quad.max_panels,
-                               full_output=1)
-    if len(out) > 3:
-        raise ArithmeticError(f"quadrature did not converge: {out[3]}")
-    return float(out[0] + lam * mu_o)
+    return _quad(integrand, 0.0, lam, quad) + lam * mu_o
 
 
 def log_mgf_diagonal_sequence(k: SpectrumKernel, tau_seq, lam: float,
@@ -529,7 +536,6 @@ def log_mgf_diagonal_sequence(k: SpectrumKernel, tau_seq, lam: float,
     even under p -> -p (tau_p = tau_{-p}); uneven weights are accepted but
     describe a different (per-mode-factorized) quantity.
     """
-    quad = quad or QuadratureSpec()
     tau = np.asarray(tau_seq, dtype=float)
     if tau.shape != (k.size,):
         raise ValueError("tau_seq must have one entry per mode")
@@ -547,12 +553,7 @@ def log_mgf_diagonal_sequence(k: SpectrumKernel, tau_seq, lam: float,
         return float(np.sum(num / den))
 
     mu_tau = math.fsum((tau * s2).tolist())
-    out = scipy.integrate.quad(integrand, 0.0, lam, epsabs=quad.tol,
-                               epsrel=quad.tol, limit=quad.max_panels,
-                               full_output=1)
-    if len(out) > 3:
-        raise ArithmeticError(f"quadrature did not converge: {out[3]}")
-    result = float(out[0] + lam * mu_tau)
+    result = _quad(integrand, 0.0, lam, quad) + lam * mu_tau
     closed = -0.5 * math.fsum(np.log(c2 - np.exp(2.0 * lam * tau) * s2).tolist())
     if abs(result - closed) > 1e-8 * max(1.0, abs(closed)):
         raise ArithmeticError("diagonal quadrature disagrees with closed form")

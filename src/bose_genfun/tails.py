@@ -1,11 +1,12 @@
 """Tail bounds and a non-concentration witness for the depletion number.
 
 The upper tail P[N_+ >= n] is bounded by exp(-sup_{0<lambda<lambda0}
-[lambda n - Lambda(lambda)]); the supremum is located by golden-section
-search on the strictly concave objective.  A cruder closed-form bound from
-the quadratic expansion of Lambda is provided for comparison, and a
-Paley-Zygmund-style witness certifies that the distribution genuinely
-spreads over a window of width ~ sigma around the mean.
+[lambda n - Lambda(lambda)]); the supremum sits where Lambda'(lambda) = n,
+which Newton's method solves on the closed-form Lambda' and Lambda''.  A
+cruder closed-form bound from the quadratic expansion of Lambda is provided
+for comparison, and a Paley-Zygmund-style witness certifies that the
+distribution genuinely spreads over a window of width ~ sigma around the
+mean.
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .genfun import log_mgf_closed
-from .spectrum import SpectrumKernel, depletion_mean, depletion_variance
+from .spectrum import (SpectrumKernel, depletion_mean, depletion_variance,
+                       log_mgf_derivatives)
 
-_LAMBDA_TOL = 1e-10
-_EDGE = 1e-12
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ENGINE_CALL_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -41,27 +40,34 @@ class NonConcentrationWitness:
     fourth_moment: float
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = _LAMBDA_TOL):
-    """Golden-section maximum of a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float]:
+    """lambda in (0, lambda0) with Lambda'(lambda) = n > mu, and Lambda there.
+
+    Lambda' rises from mu at 0 to +inf at lambda0 and is convex on
+    (0, lambda0) (g > 0 there and every derivative polynomial of g has
+    positive coefficients), so Newton started from any point where
+    Lambda' > n decreases monotonically onto the root.  Such a point is found by
+    bisecting towards lambda0; Newton then runs until its step stops
+    shrinking, which is the rounding floor.  Engine calls are capped so
+    that no input can keep the loop running.
+    """
+    lam, step = 0.5 * k.lambda0, math.inf
+    for _ in range(_ENGINE_CALL_CAP):
+        value, slope, curv = log_mgf_derivatives(k, lam, 2)
+        if step == math.inf and slope <= n:  # left of the root
+            lam = 0.5 * (lam + k.lambda0)
+            if lam == k.lambda0:  # n is past every float below lambda0
+                break
+            continue
+        new_step = (slope - n) / curv
+        if not abs(new_step) < abs(step):
+            return lam, value
+        lam, step = lam - new_step, new_step
+    raise ArithmeticError(f"no lambda in (0, {k.lambda0}) with Lambda' = {n} "
+                          f"after {_ENGINE_CALL_CAP} closed-form evaluations")
 
 
-def chernoff_bound(k: SpectrumKernel, n: float,
-                   search_cap: float | None = None) -> TailBound:
+def chernoff_bound(k: SpectrumKernel, n: float) -> TailBound:
     """Optimized exponential-moment bound on P[N_+ >= n].
 
     Returns bound 1 (exponent 0) for n at or below the mean.  If every
@@ -78,18 +84,8 @@ def chernoff_bound(k: SpectrumKernel, n: float,
     if n <= mu:
         return TailBound(n=n, lambda_star=0.0, exponent=0.0, bound=1.0,
                          note="n does not exceed the mean; trivial bound")
-    hi = k.lambda0 - _EDGE
-    if search_cap is not None:
-        hi = min(hi, search_cap)
-    lo = _EDGE
-    if hi <= lo:
-        raise ValueError("empty search interval for the tail exponent")
-
-    def objective(lam: float) -> float:
-        return lam * n - log_mgf_closed(k, lam).value
-
-    lam_star, exponent = _golden_max(objective, lo, hi)
-    exponent = max(exponent, 0.0)
+    lam_star, value = _solve_slope(k, n)
+    exponent = max(lam_star * n - value, 0.0)
     return TailBound(n=n, lambda_star=lam_star, exponent=exponent,
                      bound=math.exp(-exponent))
 

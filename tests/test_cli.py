@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from bose_genfun.cli import main
+from bose_genfun.lattice import build_lattice
+from bose_genfun.spectrum import build_kernel
 
 
 def write_cfg(tmp_path, body, name="cfg.json"):
@@ -60,6 +62,35 @@ def test_scattering_square_well(tmp_path):
                 "cutoff_m", "lambda0", "a16pi", "warnings"):
         assert key in meta
     assert meta["command"] == "scattering"
+
+
+@pytest.mark.parametrize("a", [0.005, 0.013, 0.05])
+def test_scattering_lambda0_is_the_cube_lambda0(tmp_path, a):
+    body = {"potential": {"kind": "direct", "a": a}, "cutoff_m": 3}
+    code, text = run(tmp_path, "scattering", body)
+    assert code == 0
+    meta, _, _ = parse_csv(text)
+    cube = build_kernel(build_lattice(3), 16.0 * math.pi * a)
+    assert float(meta["lambda0"]) == cube.lambda0
+
+
+def test_genfun_quadrature_failure_exits_3(tmp_path, capsys):
+    body = {"potential": {"kind": "direct", "a": 0.01}, "cutoff_m": 10,
+            "lambda_grid": {"min": 5.0, "max": 5.0, "count": 1},
+            "quadrature": {"max_panels": 1}}
+    code, text = run(tmp_path, "genfun", body)
+    assert code == 3 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: quadrature") and err.count("\n") == 1
+
+
+def test_observable_csv_bad_index_exits_3(tmp_path):
+    obs_path = tmp_path / "obs.csv"
+    obs_path.write_text("-1,-1,1.0,0.0\n")
+    code, _ = run(tmp_path, "observable",
+                  {"potential": {"kind": "direct", "a": 0.01}, "cutoff_m": 1,
+                   "observable": {"kind": "csv", "path": str(obs_path)}})
+    assert code == 3
 
 
 def test_genfun_grid_clipping_and_agreement(tmp_path):

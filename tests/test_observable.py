@@ -121,6 +121,30 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.o, src.o)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["-1,-1,1.0,0.0"], "outside"),                     # would wrap to the last mode
+    (["0,0,1.0,0.0", "99,99,1.0,0.0"], "outside"),     # past the lattice
+    (["0,0,1.0,0.0", "0,0,2.0,0.0"], "duplicate"),     # would overwrite row 1
+    (["0,0,1.0"], "4 fields"),
+], ids=["negative", "too-large", "duplicate", "short-row"])
+def test_csv_rejects_bad_rows(tmp_path, rows, message):
+    path = tmp_path / "obs.csv"
+    path.write_text("p_index,q_index,re,im\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=f"line {len(rows) + 1}: .*{message}"):
+        observable_from_csv(DESK, path)
+
+
+def test_kernel_and_observable_lattices_must_match():
+    # same size, different modes: (0,0,1) in place of (0,1,0)
+    other = lattice_from_vectors([(1, 0, 0), (0, 0, 1)])
+    obs = observable_random(other, seed=7)
+    with pytest.raises(ValueError, match="different lattices"):
+        solve_F(desk_kernel(), obs, 0.3)
+    # an equal lattice built separately is accepted
+    same = observable_random(lattice_from_vectors([(1, 0, 0), (0, 1, 0)]), seed=7)
+    assert solve_F(desk_kernel(), same, 0.3).residual < 1e-12
+
+
 def test_identity_mean_is_depletion_mean():
     k = desk_kernel()
     obs = observable_identity(DESK)
@@ -358,7 +382,7 @@ def test_log_mgf_general_identity_chain():
     obs = observable_identity(DESK)
     lam = 0.8
     got = log_mgf_general(k, obs, lam)
-    assert got == pytest.approx(log_mgf_closed(k, lam).value, abs=1e-8)
+    assert got == pytest.approx(log_mgf_closed(k, lam), abs=1e-8)
 
 
 def test_log_mgf_general_vs_fock_oracle():
@@ -390,7 +414,7 @@ def test_diagonal_sequence_routes():
     lam = 0.8
     # unit weights: the scalar exponent
     assert log_mgf_diagonal_sequence(k, np.ones(4), lam) == pytest.approx(
-        log_mgf_closed(k, lam).value, abs=1e-10)
+        log_mgf_closed(k, lam), abs=1e-10)
     # zero weights: identically zero
     assert log_mgf_diagonal_sequence(k, np.zeros(4), lam) == 0.0
     # pair-even weights agree with the general fixed-point route

@@ -15,7 +15,6 @@ from bose_genfun.spectrum import (
     depletion_mean,
     depletion_variance,
     kernel_from_nu,
-    lambda0_of,
     nu_of,
 )
 
@@ -51,7 +50,6 @@ def test_kernel_cutoff10_frozen_summaries():
     assert depletion_mean(k) == pytest.approx(0.00015636620019603793, rel=1e-13)
     assert depletion_variance(k) == pytest.approx(0.0003127337934869015, rel=1e-13)
     assert k.lambda0 == pytest.approx(5.756236086436068, rel=1e-13)
-    assert lambda0_of(k) == k.lambda0
 
 
 def test_hyperbolic_identity_and_evenness():

@@ -10,11 +10,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bose_genfun.fockoracle import depletion_distribution
 from bose_genfun.genfun import cumulants, log_mgf_closed
 from bose_genfun.lattice import lattice_from_vectors
-from bose_genfun.spectrum import depletion_mean, depletion_variance, kernel_from_nu
+from bose_genfun.spectrum import (
+    depletion_mean,
+    depletion_variance,
+    kernel_from_nu,
+    log_mgf_derivatives,
+)
 from bose_genfun.tails import (
     chernoff_bound,
     nonconcentration_witness,
@@ -56,20 +62,40 @@ def test_chernoff_exponent_against_grid():
     n = depletion_mean(k) + 2.0 * math.sqrt(depletion_variance(k))
     b = chernoff_bound(k, n)
     grid = np.linspace(1e-12, k.lambda0 - 1e-12, 40001)
-    vals = grid * n - np.array([log_mgf_closed(k, float(x)).value for x in grid])
+    vals = grid * n - np.array([log_mgf_closed(k, float(x)) for x in grid])
     assert b.exponent == pytest.approx(float(vals.max()), abs=1e-8)
     assert 0.0 < b.lambda_star < k.lambda0
     assert b.bound == pytest.approx(math.exp(-b.exponent), rel=1e-15)
 
 
-def test_chernoff_search_cap_and_empty_interval():
+@settings(max_examples=200, deadline=None)
+@given(nu_a=st.floats(-1.5, -0.05), nu_b=st.floats(-1.5, -0.05),
+       u=st.floats(-0.9, 0.9), j=st.floats(0.01, 30.0))
+def test_engine_derivatives_and_chernoff_slope(nu_a, nu_b, u, j):
+    # LAT orders its modes (-1,0,0), (0,-1,0), (0,1,0), (1,0,0)
+    k = kernel_from_nu(LAT, [nu_a, nu_b, nu_b, nu_a])
+    lam = u * k.lambda0
+    # five-point central differences: O(h^4) truncation keeps h large
+    # enough that rounding in Lambda stays far below the tolerance
+    h = 1e-2 * (k.lambda0 - abs(lam))
+    f = [log_mgf_derivatives(k, lam + i * h, 0)[0] for i in (-2, -1, 0, 1, 2)]
+    _, d1, d2 = log_mgf_derivatives(k, lam, 2)
+    assert d1 == pytest.approx((f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h), rel=1e-6)
+    assert d2 == pytest.approx(
+        (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h), rel=1e-6)
+
+    n = depletion_mean(k) + j * math.sqrt(depletion_variance(k))
+    b = chernoff_bound(k, n)
+    assert 0.0 < b.lambda_star < k.lambda0
+    assert abs(log_mgf_derivatives(k, b.lambda_star, 1)[1] - n) <= 1e-10 * n
+
+
+def test_chernoff_unreachable_threshold_raises():
+    # Lambda' has a float64 ceiling below lambda0; a threshold above it is
+    # reported, not searched for forever
     k = two_pair_kernel()
-    n = depletion_mean(k) + 1.0
-    capped = chernoff_bound(k, n, search_cap=0.05)
-    assert capped.lambda_star <= 0.05 + 1e-9
-    assert capped.exponent <= chernoff_bound(k, n).exponent + 1e-12
-    with pytest.raises(ValueError):
-        chernoff_bound(k, n, search_cap=1e-13)
+    with pytest.raises(ArithmeticError):
+        chernoff_bound(k, 1e300)
 
 
 def test_quadratic_bound_formulas():
