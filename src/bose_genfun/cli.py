@@ -69,25 +69,52 @@ class RunConfig:
     sha256: str
 
 
+def _int(value, name: str) -> int:
+    """A config integer: a JSON integer, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer (got {value!r})")
+    return value
+
+
+def _float(value, name: str) -> float:
+    """A config number: a finite JSON number, not a bool."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number (got {value!r})")
+    return float(value)
+
+
+def _section(raw: dict, key: str, default):
+    """A config section: a JSON object, or the default when absent (None
+    marks an optional section)."""
+    value = raw.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object")
+    return value
+
+
+_POTENTIAL_FIELDS = {"zero": (), "square_well": ("v", "radius"),
+                     "gaussian_truncated": ("v", "width", "radius"),
+                     "direct": ("a",)}
+
+
 def _parse_potential(raw) -> PotentialSpec:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigError("potential must be an object with a 'kind'")
     kind = raw["kind"]
+    if not isinstance(kind, str) or kind not in _POTENTIAL_FIELDS:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    params = {key: _float(raw.get(key), f"potential.{key}")
+              for key in _POTENTIAL_FIELDS[kind]}
     try:
-        if kind == "zero":
-            return PotentialSpec(kind="zero")
-        if kind == "square_well":
-            return PotentialSpec(kind="square_well", v=float(raw["v"]),
-                                 radius=float(raw["radius"]))
-        if kind == "gaussian_truncated":
-            return PotentialSpec(kind="gaussian_truncated", v=float(raw["v"]),
-                                 width=float(raw["width"]),
-                                 radius=float(raw["radius"]))
-        if kind == "direct":
-            return PotentialSpec(kind="direct", a=float(raw["a"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        return PotentialSpec(kind=kind, **params)
+    except ValueError as exc:
         raise ConfigError(f"bad potential parameters: {exc}") from exc
-    raise ConfigError(f"unknown potential kind {kind!r}")
 
 
 def parse_config(path: str, seed_override: int | None = None,
@@ -109,44 +136,39 @@ def parse_config(path: str, seed_override: int | None = None,
     convention = raw.get("convention", "paper")
     if convention not in ("paper", "standard"):
         raise ConfigError(f"convention must be 'paper' or 'standard', got {convention!r}")
-    try:
-        cutoff_m = int(raw["cutoff_m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("cutoff_m (integer >= 1) is required") from exc
+    cutoff_m = _int(raw.get("cutoff_m"), "cutoff_m")
     if cutoff_m < 1:
         raise ConfigError("cutoff_m must be >= 1")
 
-    grid = raw.get("lambda_grid", {"min": -0.5, "max": 0.5, "count": 11})
-    try:
-        lmin, lmax = float(grid["min"]), float(grid["max"])
-        count = int(grid["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lambda_grid: {exc}") from exc
+    grid = _section(raw, "lambda_grid", {"min": -0.5, "max": 0.5, "count": 11})
+    lmin = _float(grid.get("min"), "lambda_grid.min")
+    lmax = _float(grid.get("max"), "lambda_grid.max")
+    count = _int(grid.get("count"), "lambda_grid.count")
     if count < 1 or lmax < lmin:
         raise ConfigError("lambda_grid needs count >= 1 and max >= min")
 
-    q = raw.get("quadrature", {})
-    try:
-        quad = QuadratureSpec(tol=float(q.get("tol", 1e-10)),
-                              max_panels=int(q.get("max_panels", 200)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad quadrature: {exc}") from exc
+    q = _section(raw, "quadrature", {})
+    quad = QuadratureSpec(tol=_float(q.get("tol", 1e-10), "quadrature.tol"),
+                          max_panels=_int(q.get("max_panels", 200),
+                                          "quadrature.max_panels"))
 
-    obs = raw.get("observable", {"kind": "none"})
-    if not isinstance(obs, dict) or obs.get("kind") not in (
-            "none", "identity", "csv", "random"):
+    obs = _section(raw, "observable", {"kind": "none"})
+    if obs.get("kind") not in ("none", "identity", "csv", "random"):
         raise ConfigError("observable.kind must be none|identity|csv|random")
     if obs["kind"] == "csv" and not obs.get("path"):
         raise ConfigError("observable.kind=csv requires a 'path'")
-    if obs["kind"] == "random" and int(obs.get("pairs", 2)) not in (1, 2):
+    obs = dict(obs, pairs=_int(obs.get("pairs", 2), "observable.pairs"))
+    if obs["kind"] == "random" and obs["pairs"] not in (1, 2):
         raise ConfigError("observable.random supports pairs in {1, 2}")
+    if "seed" in obs:
+        _int(obs["seed"], "observable.seed")
 
-    oracle = raw.get("oracle")
+    oracle = _section(raw, "oracle", None)
     if oracle is not None:
-        if not isinstance(oracle, dict) or "pairs" not in oracle or "n_max" not in oracle:
-            raise ConfigError("oracle needs 'pairs' and 'n_max' (or omit it)")
+        oracle = {key: _int(oracle.get(key), f"oracle.{key}")
+                  for key in ("pairs", "n_max")}
 
-    out = raw.get("output", {})
+    out = _section(raw, "output", {})
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format must be csv or json")
@@ -154,12 +176,13 @@ def parse_config(path: str, seed_override: int | None = None,
 
     n_list = raw.get("n_list")
     if n_list is not None:
-        try:
-            n_list = [float(x) for x in n_list]
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad n_list: {exc}") from exc
+        if not isinstance(n_list, list):
+            raise ConfigError("n_list must be a list of numbers")
+        n_list = [_float(x, "n_list entry") for x in n_list]
 
-    seed = seed_override if seed_override is not None else int(raw.get("seed", 0))
+    seed = _int(raw.get("seed", 0), "seed")
+    if seed_override is not None:
+        seed = seed_override
     return RunConfig(potential=potential, convention=convention, cutoff_m=cutoff_m,
                      lambda_min=lmin, lambda_max=lmax, lambda_count=count,
                      quadrature=quad, observable=obs, oracle=oracle,
@@ -351,9 +374,8 @@ def cmd_observable(cfg: RunConfig) -> int:
         return EXIT_OK
 
     if kind == "random":
-        pairs = int(cfg.observable.get("pairs", 2))
-        work_k = _desk_kernel(pairs, _a16pi(cfg))
-        seed = int(cfg.observable.get("seed", cfg.seed))
+        work_k = _desk_kernel(cfg.observable["pairs"], _a16pi(cfg))
+        seed = cfg.observable.get("seed", cfg.seed)
         ensemble = cfg.observable.get("ensemble", "real-parity")
         obs = observable_random(work_k.lattice, seed, ensemble=ensemble)
     else:  # csv
@@ -368,14 +390,14 @@ def cmd_observable(cfg: RunConfig) -> int:
     limit = min(dom, work_k.lambda0) * (1.0 - 1e-9)
     lams = _lambda_grid(cfg, limit, warnings)
     mu_o = observable_mean(work_k, obs)
-    for lam in lams:
-        val = log_mgf_general(work_k, obs, float(lam), cfg.quadrature)
+    vals = log_mgf_general(work_k, obs, lams, cfg.quadrature)
+    for lam, val in zip(lams, vals):
         if lam != 0.0:
             sol = solve_F(work_k, obs, float(lam))
             res = (sol.residual, sol.symmetry_residual, sol.exchange_residual)
         else:
             res = (0.0, 0.0, 0.0)
-        rows.append([float(lam), val, mu_o, dom, *res])
+        rows.append([float(lam), float(val), mu_o, dom, *res])
     _emit(cfg, "observable", columns, rows,
           {"lambda0": work_k.lambda0, "a16pi": work_k.a16pi, "observable": kind},
           warnings)
@@ -386,8 +408,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if cfg.oracle is None:
         raise ConfigError("the oracle command needs an 'oracle' config section")
     try:
-        pairs = int(cfg.oracle["pairs"])
-        n_max = int(cfg.oracle["n_max"])
+        pairs, n_max = cfg.oracle["pairs"], cfg.oracle["n_max"]
         space = build_space(pairs, n_max)
         # the 1-pair diagnostics (BCH / generator action) need enough shells
         # for their 1e-8 tolerances; dim stays tiny for a single pair

@@ -9,7 +9,7 @@ array, pair enumeration and CSV row is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class Lattice:
     cutoff_m: int
     vectors: np.ndarray
     momenta: np.ndarray
-    index_of: dict
     neg_index: np.ndarray
     pairs: np.ndarray
 
@@ -39,24 +38,21 @@ class Lattice:
 
 
 def _finish(cutoff_m: int, vectors: np.ndarray) -> Lattice:
-    """Sort, build the negation involution and the pair list."""
+    """Sort, build the negation involution and the pair list.
+
+    The vectors must be distinct and nonzero.  Lexicographic order flips
+    under v -> -v, so a negation-closed set, once sorted, lists its
+    negatives in reverse: -vectors[i] is vectors[size - 1 - i].
+    """
     order = np.lexsort(vectors.T[::-1])
     vectors = np.ascontiguousarray(vectors[order])
-    index_of = {tuple(int(c) for c in v): i for i, v in enumerate(vectors)}
-    if len(index_of) != len(vectors):
-        raise ValueError("duplicate momentum vectors")
-    neg = np.empty(len(vectors), dtype=np.intp)
-    for i, v in enumerate(vectors):
-        j = index_of.get((-int(v[0]), -int(v[1]), -int(v[2])))
-        if j is None:
-            raise ValueError("mode set is not closed under negation")
-        if j == i:
-            raise ValueError("zero mode (self-paired vector) is not allowed")
-        neg[i] = j
-    pairs = np.array([(i, int(neg[i])) for i in range(len(vectors)) if i < neg[i]],
-                     dtype=np.intp)
+    if not np.array_equal(vectors[::-1], -vectors):
+        raise ValueError("mode set is not closed under negation")
+    size = len(vectors)
+    neg = np.arange(size - 1, -1, -1, dtype=np.intp)
+    pairs = np.stack([np.arange(size // 2, dtype=np.intp), neg[:size // 2]], axis=1)
     return Lattice(cutoff_m=cutoff_m, vectors=vectors, momenta=TWO_PI * vectors,
-                   index_of=index_of, neg_index=neg, pairs=pairs)
+                   neg_index=neg, pairs=pairs)
 
 
 def build_lattice(cutoff_m: int) -> Lattice:
@@ -88,14 +84,6 @@ def lattice_from_vectors(vectors) -> Lattice:
         raise ValueError("zero mode (self-paired vector) is not allowed")
     full = np.array(sorted(seen), dtype=np.int64)
     return _finish(int(np.max(np.abs(full))), full)
-
-
-def p_squared(lattice: Lattice, i: int) -> float:
-    """|p_i|^2 = 4*pi^2 * ||n_i||^2 for a single lattice index."""
-    if not 0 <= i < lattice.size:
-        raise IndexError(f"lattice index {i} out of range")
-    n = lattice.vectors[i]
-    return float(TWO_PI ** 2 * (n @ n))
 
 
 def p_squared_array(lattice: Lattice) -> np.ndarray:

@@ -3,29 +3,20 @@ equation for the pair amplitude F, and Lambda_O(lambda).
 
 The pair amplitude F_{p,q}(kappa) = <vac, a_{-p} a_q M(kappa) vac> with
 M = e^{-K} e^{kappa dGamma(O)} e^{K} satisfies a linear fixed-point
-equation F = A*G + D[F].  Two kernel constructions are provided:
+equation F = A + D[F].  The kernels are obtained by conjugating the two
+annihilators through both exponentials and normal-ordering, with no use
+of any cross-symmetry between F_{p,q} and conj(F_{q,p}); the map D is
+therefore antilinear (it acts on conj(F_{-l,k})).  They reproduce the
+exact Fock-space oracle for arbitrary Hermitian O, and they are built
+from subtracted factors Delta = e^{kappa O} - 1, so O = 0 and kappa = 0
+give exactly zero.  F is the Neumann series of D applied to A, summed
+while a certified bound on the norm of D stays below one.
 
-* variant="derived" (default): obtained by conjugating the two
-  annihilators through both exponentials and normal-ordering, with no use
-  of any cross-symmetry between F_{p,q} and conj(F_{q,p}).  The map D is
-  antilinear (it acts on conj(F_{-l,k})).  This variant reproduces the
-  exact Fock-space oracle for arbitrary Hermitian O.
-
-* variant="paper": the closed-form linearized kernels in which
-  conj(F_{l,k}) has been rewritten in terms of F_{k,l} through the
-  cross-symmetry c_q s_p F_{p,q} = c_p s_q conj(F_{q,p}).  That identity
-  holds exactly when O commutes with momentum negation and complex
-  conjugation in the lattice basis (e.g. O = identity, or real symmetric
-  parity-even O on equal-|nu| mode sets), and the two variants then agree
-  to solver precision; for generic complex Hermitian O it fails at first
-  order in kappa and the variant deviates from the oracle at O(kappa^2).
-
-Both variants are built from subtracted factors Delta = e^{kappa O} - 1,
-so O=0 and kappa=0 give exactly zero.  The raw (unsubtracted) forms are
-kept only for tests that verify raw == stabilized.
-
-Everything here targets desk-scale mode counts (the acceptance instances
-are two pairs); solvers refuse absurd dense dimensions rather than crawl.
+The linearized kernels printed in the source derivation rewrite
+conj(F_{l,k}) through that cross-symmetry, which holds only when O
+commutes with momentum negation and complex conjugation.  They live in
+tests/kernel_reference.py, next to the unsubtracted forms and the
+brute-force and dense references, and the tests pin where they deviate.
 """
 
 from __future__ import annotations
@@ -42,10 +33,10 @@ from .genfun import QuadratureSpec, _quad
 from .lattice import Lattice
 from .spectrum import SpectrumKernel
 
-_DENSE_MODE_CAP = 32
 _EXP_ROUNDTRIP_TOL = 1e-12
-
-VARIANTS = ("derived", "paper")
+_NEUMANN_TOL = 1e-13
+_NEUMANN_MAX_TERMS = 400
+_BISECTION_STEPS = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,7 +49,6 @@ class ObservableKernel:
 
     lattice: Lattice
     o: np.ndarray
-    hermitian: bool = True
 
     @cached_property
     def _eigsys(self):
@@ -144,152 +134,79 @@ def observable_mean(k: SpectrumKernel, obs: ObservableKernel) -> float:
     return math.fsum((diag * k.s * k.s).tolist())
 
 
+def _exp_pair(obs: ObservableKernel, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{kappa O}, e^{-kappa O}) through the unitary eigendecomposition of
+    Hermitian O; ArithmeticError if their product is not the identity.
+
+    Rounding in the product grows with ||e^{kappa O}|| ||e^{-kappa O}|| =
+    e^{|kappa| (w_max - w_min)}, so the defect is measured relative to it
+    (written so that a huge factor cannot overflow).
+    """
+    w, u = obs._eigsys
+    ep = (u * np.exp(kappa * w)) @ u.conj().T
+    em = (u * np.exp(-kappa * w)) @ u.conj().T
+    if kappa != 0.0:
+        defect = np.linalg.norm(ep @ em - np.eye(obs.size), 2)
+        if defect * math.exp(-abs(kappa) * (w[-1] - w[0])) > _EXP_ROUNDTRIP_TOL:
+            raise ArithmeticError(f"matrix exponential roundtrip defect {defect:.3e}")
+    return ep, em
+
+
 def exp_of_O(obs: ObservableKernel, kappa: float) -> np.ndarray:
     """exp(kappa O) through the unitary eigendecomposition of Hermitian O."""
-    w, u = obs._eigsys
-    e = (u * np.exp(kappa * w)) @ u.conj().T
-    if kappa != 0.0:
-        e_inv = (u * np.exp(-kappa * w)) @ u.conj().T
-        defect = np.linalg.norm(e @ e_inv - np.eye(obs.size), 2)
-        if defect > _EXP_ROUNDTRIP_TOL:
-            raise ArithmeticError(f"matrix exponential roundtrip defect {defect:.3e}")
-    return e
-
-
-class _Factors:
-    """Per-(observable, kappa) matrices shared between A and D."""
-
-    def __init__(self, k: SpectrumKernel, obs: ObservableKernel, kappa: float):
-        if not np.array_equal(obs.lattice.vectors, k.lattice.vectors):
-            raise ValueError("observable and kernel live on different lattices")
-        self.s, self.c, self.t = k.s, k.c, k.t
-        self.neg = k.lattice.neg_index
-        w, u = obs._eigsys
-        eye = np.eye(obs.size)
-        self.ep = (u * np.exp(kappa * w)) @ u.conj().T
-        self.em = (u * np.exp(-kappa * w)) @ u.conj().T
-        self.pbar = self.ep.conj()
-        self.dp = self.ep - eye
-        self.dm = self.em - eye
-        self.dbp = self.pbar - eye
+    return _exp_pair(obs, kappa)[0]
 
 
 def _diag(v):
     return np.diag(v.astype(complex))
 
 
-def kernel_A(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
-             variant: str = "derived", with_term9: bool = False,
-             _f: _Factors | None = None) -> np.ndarray:
-    """The inhomogeneous (source) kernel A_{p,q}(kappa), stabilized form.
+class _Factors:
+    """Per-(observable, kappa) state, built once and shared by A, D and the
+    bound on D: the subtracted factors dbp = conj(e^{kappa O}) - 1 and
+    dm = e^{-kappa O} - 1, and D as (left, right, access) triples with
+    D[F] = sum left @ access(F) @ right.
 
-    with_term9 (paper variant only) appends the ninth summand of the
-    split-form source printed in the source derivation; it breaks the
-    raw/stabilized equality and is excluded from production (tests keep it
-    to document the discrepancy).
+    access modes: 'tilde' conj(F).T[:, neg] (i.e. conj(F_{-l,k}) at (k,l));
+    'negconj' conj(F)[neg, :].  Both are isometries, so norm bounds need
+    only the left/right factors.
     """
-    f = _f or _Factors(k, obs, kappa)
-    s, c, neg = f.s, f.c, f.neg
-    if variant == "derived":
-        m1 = f.dbp[neg][:, neg].T
-        a = _diag(s) @ f.dbp @ _diag(c)
-        a += _diag(c) @ m1 @ _diag(s)
-        a += np.outer(c, c) * ((f.dbp[:, neg]).T @ _diag(c * s) @ f.dbp[neg, :])
-        a += np.outer(s, s) * (f.dm.T @ _diag(s * c) @ f.dm[neg][:, neg])
-        a -= np.outer(s, c) * (f.dm.T @ _diag(s * s) @ f.dbp)
-        a -= np.outer(c, s) * ((f.dbp[:, neg]).T @ _diag(s * s) @ f.dm[:, neg])
-        return a
-    if variant == "paper":
-        m1 = f.dbp[neg][:, neg].T
-        m1m = f.dm[neg][:, neg].T
-        a = _diag(c * c * s) @ f.dbp @ _diag(c)
-        a += np.outer(c, c) * ((f.dbp[:, neg]).T @ _diag(c * s) @ f.dbp[neg, :])
-        a += _diag(c) @ m1 @ _diag(c * c * s)
-        a += np.outer(s, s) * (m1m @ _diag(s * c) @ f.dm)
-        a += _diag(s) @ m1m @ _diag(s * s * c)
-        a -= np.outer(s, c) * ((f.em[:, neg]).T @ _diag(s * s) @ f.dbp[:, neg])
-        a -= _diag(s) @ m1m @ _diag(c * s * s)
-        a -= np.outer(c, s) * (f.dbp.T @ _diag(s * s) @ f.em)
-        if with_term9:
-            a -= _diag(c * s * s) @ f.dm @ _diag(s)
-        return a
-    raise ValueError(f"unknown variant {variant!r}")
+
+    def __init__(self, k: SpectrumKernel, obs: ObservableKernel, kappa: float):
+        if not np.array_equal(obs.lattice.vectors, k.lattice.vectors):
+            raise ValueError("observable and kernel live on different lattices")
+        self.s, self.c = k.s, k.c
+        self.neg = neg = k.lattice.neg_index
+        ep, em = _exp_pair(obs, kappa)
+        eye = np.eye(obs.size)
+        self.dbp = ep.conj() - eye
+        self.dm = em - eye
+        s, c = _diag(k.s), _diag(k.c)
+        a1 = c @ (self.dbp[neg][:, neg].T) @ s
+        b1 = s @ self.dbp[neg, :] @ c
+        a2 = s @ self.dm.T @ c
+        b2 = c @ self.dm[:, neg] @ s
+        self.terms = [(a1, b1, "tilde"), (a2, b2, "tilde"),
+                      (-a2, b1, "tilde"), (-a1, b2, "negconj")]
 
 
-def kernel_A_raw(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
-                 variant: str = "derived") -> np.ndarray:
-    """Unsubtracted source kernel; test article for raw == stabilized."""
-    f = _Factors(k, obs, kappa)
-    s, c, neg = f.s, f.c, f.neg
-    if variant == "derived":
-        a = -_diag(c * s)
-        a += np.outer(c, c) * ((f.pbar[:, neg]).T @ _diag(c * s) @ f.pbar[neg, :])
-        a += np.outer(s, s) * (f.em.T @ _diag(s * c) @ f.em[neg][:, neg])
-        a -= np.outer(s, c) * (f.em.T @ _diag(s * s) @ f.pbar)
-        a -= np.outer(c, s) * ((f.pbar[:, neg]).T @ _diag(s * s) @ f.em[:, neg])
-        return a
-    if variant == "paper":
-        a = -_diag(c * s)
-        a += np.outer(c, c) * ((f.pbar[:, neg]).T @ _diag(c * s) @ f.pbar[neg, :])
-        a += np.outer(s, s) * ((f.em[neg][:, neg]).T @ _diag(s * c) @ f.em)
-        a -= np.outer(s, c) * ((f.em[:, neg]).T @ _diag(s * s) @ f.pbar[:, neg])
-        a -= np.outer(c, s) * (f.pbar.T @ _diag(s * s) @ f.em)
-        return a
-    raise ValueError(f"unknown variant {variant!r}")
+def _source(f: _Factors) -> np.ndarray:
+    s, c, neg, dbp, dm = f.s, f.c, f.neg, f.dbp, f.dm
+    a = _diag(s) @ dbp @ _diag(c)
+    a += _diag(c) @ dbp[neg][:, neg].T @ _diag(s)
+    a += np.outer(c, c) * ((dbp[:, neg]).T @ _diag(c * s) @ dbp[neg, :])
+    a += np.outer(s, s) * (dm.T @ _diag(s * c) @ dm[neg][:, neg])
+    a -= np.outer(s, c) * (dm.T @ _diag(s * s) @ dbp)
+    a -= np.outer(c, s) * ((dbp[:, neg]).T @ _diag(s * s) @ dm[:, neg])
+    return a
 
 
-def _separable_terms(f: _Factors, variant: str, raw: bool = False,
-                     fourth_index: str = "verbatim"):
-    """D as a list of (left, right, access) triples: D[F] = sum L @ acc(F) @ R.
-
-    access modes: 'plain' F; 'negrow' F[neg,:]; 'tilde' conj(F).T[:,neg]
-    (i.e. conj(F_{-l,k}) at (k,l)); 'negconj' conj(F)[neg,:].  All access
-    maps are isometries, so norm bounds need only the L/R factors.
-    """
-    s, c, t, neg = f.s, f.c, f.t, f.neg
-    if variant == "derived":
-        if raw:
-            a1 = _diag(c) @ (f.pbar[neg][:, neg].T) @ _diag(s)
-            b1 = _diag(s) @ f.pbar[neg, :] @ _diag(c)
-            a2 = _diag(s) @ f.em.T @ _diag(c)
-            b2 = _diag(c) @ f.em[:, neg] @ _diag(s)
-        else:
-            a1 = _diag(c) @ (f.dbp[neg][:, neg].T) @ _diag(s)
-            b1 = _diag(s) @ f.dbp[neg, :] @ _diag(c)
-            a2 = _diag(s) @ f.dm.T @ _diag(c)
-            b2 = _diag(c) @ f.dm[:, neg] @ _diag(s)
-        return [(a1, b1, "tilde"), (a2, b2, "tilde"),
-                (-a2, b1, "tilde"), (-a1, b2, "negconj")]
-    if variant == "paper":
-        if fourth_index == "verbatim":
-            sub_stab, sub_raw = f.dm.T, f.em.T
-        elif fourth_index == "negated":
-            sub_stab, sub_raw = (f.dm[:, neg]).T, (f.em[:, neg]).T
-        else:
-            raise ValueError(f"unknown fourth_index {fourth_index!r}")
-        if raw:
-            l1 = _diag(c) @ (f.pbar[neg][:, neg]).T @ _diag(c)
-            l2 = _diag(c) @ (f.em[:, neg]).T @ _diag(c)
-            l4 = _diag(c) @ sub_raw @ _diag(c)
-            r1 = _diag(s * t) @ f.pbar @ _diag(c)
-            r2 = _diag(s * t) @ f.em[neg, :] @ _diag(c)
-            r3 = _diag(s * t) @ f.pbar[:, neg] @ _diag(c)
-            return [(l1, r1, "plain"), (l2, r2, "plain"),
-                    (-l2, r3, "plain"), (-l4, r1, "plain")]
-        a_t1 = _diag(c) @ (f.dbp[neg][:, neg].T - sub_stab) @ _diag(c)
-        b_t4c = (_diag(s * t) @ (f.dm[neg, :] - f.dbp[:, neg])) @ _diag(c)
-        b_t5 = _diag(s * t) @ f.dbp @ _diag(c)
-        a_t6 = _diag(c) @ (f.dm[:, neg]).T @ _diag(c)
-        return [(a_t1, _diag(s * s), "plain"), (_diag(c * c), b_t4c, "negrow"),
-                (a_t1, b_t5, "plain"), (a_t6, b_t4c, "plain")]
-    raise ValueError(f"unknown variant {variant!r}")
+def kernel_A(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> np.ndarray:
+    """The inhomogeneous (source) kernel A_{p,q}(kappa), stabilized form."""
+    return _source(_Factors(k, obs, kappa))
 
 
 def _access(F: np.ndarray, mode: str, neg: np.ndarray) -> np.ndarray:
-    if mode == "plain":
-        return F
-    if mode == "negrow":
-        return F[neg, :]
     if mode == "tilde":
         return F.conj().T[:, neg]
     if mode == "negconj":
@@ -297,102 +214,42 @@ def _access(F: np.ndarray, mode: str, neg: np.ndarray) -> np.ndarray:
     raise ValueError(mode)
 
 
-def _access_adjoint(Y: np.ndarray, left: np.ndarray, right: np.ndarray,
-                    mode: str, neg: np.ndarray) -> np.ndarray:
-    """Adjoint of F -> left @ access(F) @ right in the real inner product
-    <X, Y> = Re tr(X^dag Y)."""
-    core = left.conj().T @ Y @ right.conj().T
-    if mode == "plain":
-        return core
-    if mode == "negrow":
-        return core[neg, :]
-    if mode == "tilde":
-        # T(F) = L (F^dag N) R  =>  T^T(Y) = N R Y^dag L
-        return (right @ Y.conj().T @ left)[neg, :]
-    if mode == "negconj":
-        return core.conj()[neg, :]
-    raise ValueError(mode)
-
-
-def apply_D(k: SpectrumKernel, obs: ObservableKernel, kappa: float, F: np.ndarray,
-            variant: str = "derived", raw: bool = False,
-            fourth_index: str = "verbatim", _f: _Factors | None = None) -> np.ndarray:
-    """Apply the linear (or antilinear) map D(kappa) to F, matrix-free in the
-    four-index kernel: three dense products per separable term."""
-    F = np.asarray(F, dtype=complex)
-    if F.shape != (k.size, k.size):
-        raise ValueError("F must be modes x modes")
-    f = _f or _Factors(k, obs, kappa)
+def _apply(f: _Factors, F: np.ndarray) -> np.ndarray:
     out = np.zeros_like(F)
-    for left, right, mode in _separable_terms(f, variant, raw, fourth_index):
+    for left, right, mode in f.terms:
         out += left @ _access(F, mode, f.neg) @ right
     return out
 
 
-def d_tensor_bruteforce(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
-                        variant: str = "derived") -> np.ndarray:
-    """Materialized 4-index action: T[p,q,k,l] acting on F (test oracle only).
-
-    For the derived variant the action is antilinear, so the returned
-    tensor multiplies conj(F); tests contract it accordingly.
-    """
-    n = k.size
-    f = _Factors(k, obs, kappa)
-    tensor = np.zeros((n, n, n, n), dtype=complex)
-    basis = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            basis[a, b] = 1.0
-            tensor[:, :, a, b] = apply_D(k, obs, kappa, basis, variant=variant, _f=f)
-            basis[a, b] = 0.0
-    return tensor
+def apply_D(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
+            F: np.ndarray) -> np.ndarray:
+    """Apply the antilinear map D(kappa) to F, matrix-free in the four-index
+    kernel: three dense products per separable term."""
+    F = np.asarray(F, dtype=complex)
+    if F.shape != (k.size, k.size):
+        raise ValueError("F must be modes x modes")
+    return _apply(_Factors(k, obs, kappa), F)
 
 
-def d_norm_bound(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
-                 variant: str = "derived") -> float:
-    """Certified upper bound on the l2 -> l2 operator norm of D(kappa).
-
-    Triangle inequality over the separable terms with each term bounded by
-    the product of factor norms; the smaller of the spectral-norm and
-    Frobenius-norm products is returned.  A power-iteration estimate of
-    the true norm is available separately (d_norm_estimate) and is used in
-    tests to confirm the bound is not vacuous.
-    """
-    if kappa == 0.0:
-        return 0.0
-    f = _Factors(k, obs, kappa)
+def _bound(f: _Factors) -> float:
     spec = 0.0
     frob = 0.0
-    for left, right, _ in _separable_terms(f, variant):
+    for left, right, _ in f.terms:
         spec += np.linalg.norm(left, 2) * np.linalg.norm(right, 2)
         frob += np.linalg.norm(left) * np.linalg.norm(right)
     return float(min(spec, frob))
 
 
-def d_norm_estimate(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
-                    variant: str = "derived", iters: int = 80, seed: int = 0) -> float:
-    """Power-iteration estimate of the true (real-linear) spectral norm of D."""
+def d_norm_bound(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> float:
+    """Certified upper bound on the l2 -> l2 operator norm of D(kappa).
+
+    Triangle inequality over the separable terms with each term bounded by
+    the product of factor norms; the smaller of the spectral-norm and
+    Frobenius-norm products is returned.
+    """
     if kappa == 0.0:
         return 0.0
-    f = _Factors(k, obs, kappa)
-    terms = _separable_terms(f, variant)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((k.size, k.size)) + 1j * rng.standard_normal((k.size, k.size))
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(iters):
-        y = np.zeros_like(x)
-        for left, right, mode in terms:
-            y += left @ _access(x, mode, f.neg) @ right
-        z = np.zeros_like(x)
-        for left, right, mode in terms:
-            z += _access_adjoint(y, left, right, mode, f.neg)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        est = math.sqrt(nz)
-        x = z / nz
-    return float(est)
+    return _bound(_Factors(k, obs, kappa))
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,7 +258,6 @@ class FixedPointSolution:
     F: np.ndarray
     residual: float
     iterations: int
-    method: str
     symmetry_residual: float
     exchange_residual: float
 
@@ -417,84 +273,58 @@ def _residuals(k: SpectrumKernel, F: np.ndarray) -> tuple[float, float]:
     return sym, exch
 
 
-def solve_F(k: SpectrumKernel, obs: ObservableKernel, kappa: float, g: float = 1.0,
-            method: str = "neumann", variant: str = "derived",
-            tol: float = 1e-13, max_terms: int = 400) -> FixedPointSolution:
-    """Solve F = A*g + D[F] at fixed kappa.
+def solve_F(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> FixedPointSolution:
+    """Solve F = A + D[F] at fixed kappa by the Neumann series sum_j D^j[A].
 
-    method="neumann" sums D^j [A g] while the certified contraction factor
-    q = d_norm_bound < 1; method="dense" materializes the realified
-    (I - D) system and solves directly (desk-scale mode counts only).
-    The cross-symmetry residual is recorded, not enforced: it vanishes
-    only on the symmetry class described in the module docstring.
+    The series needs the certified contraction bound q = d_norm_bound < 1
+    and stops once a term's norm falls below _NEUMANN_TOL * (1 - q).  The
+    cross-symmetry residual is recorded, not enforced: it vanishes only
+    when O commutes with momentum negation and complex conjugation.
     """
     if math.isfinite(k.lambda0) and abs(kappa) >= k.lambda0:
         raise ValueError(f"kappa {kappa} outside (-{k.lambda0}, {k.lambda0})")
     f = _Factors(k, obs, kappa)
-    a = kernel_A(k, obs, kappa, variant=variant, _f=f) * g
-    n = k.size
+    a = _source(f)
+    q = _bound(f)
+    if q >= 1.0:
+        raise ValueError(f"fixed-point map is not a certified contraction "
+                         f"(bound {q:.3f} >= 1) at kappa={kappa}")
+    F = a.copy()
+    term = a.copy()
+    its = 0
+    cutoff = _NEUMANN_TOL * (1.0 - q)
+    while np.linalg.norm(term) > cutoff and its < _NEUMANN_MAX_TERMS:
+        term = _apply(f, term)
+        F += term
+        its += 1
+    if its >= _NEUMANN_MAX_TERMS:
+        raise ValueError("Neumann series failed to converge")
 
-    if method == "neumann":
-        q = d_norm_bound(k, obs, kappa, variant=variant)
-        if q >= 1.0:
-            raise ValueError(f"fixed-point map is not a certified contraction "
-                             f"(bound {q:.3f} >= 1) at kappa={kappa}")
-        F = a.copy()
-        term = a.copy()
-        its = 0
-        cutoff = tol * (1.0 - q)
-        while np.linalg.norm(term) > cutoff and its < max_terms:
-            term = apply_D(k, obs, kappa, term, variant=variant, _f=f)
-            F += term
-            its += 1
-        if its >= max_terms:
-            raise ValueError("Neumann series failed to converge")
-    elif method == "dense":
-        if n > _DENSE_MODE_CAP:
-            raise ValueError(f"dense solve refused beyond {_DENSE_MODE_CAP} modes")
-        dim = 2 * n * n
-        m = np.zeros((dim, dim))
-        basis = np.zeros((n, n), dtype=complex)
-        col = 0
-        for part in (1.0, 1.0j):
-            for i in range(n):
-                for j in range(n):
-                    basis[i, j] = part
-                    img = apply_D(k, obs, kappa, basis, variant=variant, _f=f)
-                    m[:n * n, col] = img.real.ravel()
-                    m[n * n:, col] = img.imag.ravel()
-                    basis[i, j] = 0.0
-                    col += 1
-        rhs = np.concatenate([a.real.ravel(), a.imag.ravel()])
-        x = scipy.linalg.solve(np.eye(dim) - m, rhs)
-        F = (x[:n * n] + 1j * x[n * n:]).reshape(n, n)
-        its = 1
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    residual = float(np.linalg.norm(F - (a + apply_D(k, obs, kappa, F, variant=variant, _f=f))))
+    residual = float(np.linalg.norm(F - (a + _apply(f, F))))
     sym, exch = _residuals(k, F)
     return FixedPointSolution(kappa=kappa, F=F, residual=residual, iterations=its,
-                              method=method, symmetry_residual=sym,
-                              exchange_residual=exch)
+                              symmetry_residual=sym, exchange_residual=exch)
 
 
-def certified_domain(k: SpectrumKernel, obs: ObservableKernel,
-                     variant: str = "derived", cap: float | None = None) -> float:
-    """Largest kappa with d_norm_bound(+-kappa) < 1, capped by lambda0."""
-    hi_cap = k.lambda0 if math.isfinite(k.lambda0) else (cap or 4.0)
-    if cap is not None:
-        hi_cap = min(hi_cap, cap)
+def certified_domain(k: SpectrumKernel, obs: ObservableKernel) -> float:
+    """Largest kappa with d_norm_bound(+-kappa) < 1, capped by lambda0 (by 4
+    when lambda0 is infinite).
+
+    Bisection; it ends early once the midpoint is no longer strictly inside
+    the bracket, since every later step would then leave the bracket as is.
+    """
+    hi_cap = k.lambda0 if math.isfinite(k.lambda0) else 4.0
 
     def contracts(x: float) -> bool:
-        return (d_norm_bound(k, obs, x, variant=variant) < 1.0
-                and d_norm_bound(k, obs, -x, variant=variant) < 1.0)
+        return d_norm_bound(k, obs, x) < 1.0 and d_norm_bound(k, obs, -x) < 1.0
 
     if contracts(hi_cap * (1.0 - 1e-12)):
         return hi_cap
     lo, hi = 0.0, hi_cap
-    for _ in range(80):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if contracts(mid):
             lo = mid
         else:
@@ -502,27 +332,30 @@ def certified_domain(k: SpectrumKernel, obs: ObservableKernel,
     return lo
 
 
-def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lam: float,
-                    quad: QuadratureSpec | None = None, method: str = "neumann",
-                    variant: str = "derived") -> float:
+def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lams,
+                    quad: QuadratureSpec | None = None) -> np.ndarray:
     """Lambda_O(lambda) = int_0^lambda Re sum s_p c_q O_pq Fhat_pq(kappa) dkappa
-    + lambda mu_O, solving the fixed point (with G = 1) at each node."""
-    dom = certified_domain(k, obs, variant=variant)
-    if not abs(lam) < dom:
-        raise ValueError(f"lambda {lam} outside certified contraction domain "
-                         f"(+-{dom:.6g})")
+    + lambda mu_O on a lambda grid, solving the fixed point at each node.
+
+    The certified domain is computed once for the grid; every lambda is
+    integrated from 0 on its own, so a value does not depend on the grid.
+    """
+    lams = [float(lam) for lam in np.atleast_1d(lams)]
+    dom = certified_domain(k, obs)
+    for lam in lams:
+        if not abs(lam) < dom:
+            raise ValueError(f"lambda {lam} outside certified contraction domain "
+                             f"(+-{dom:.6g})")
     mu_o = observable_mean(k, obs)
-    if lam == 0.0:
-        return 0.0
     weight = np.outer(k.s, k.c) * obs.o
 
     def integrand(kappa: float) -> float:
         if kappa == 0.0:
             return 0.0
-        sol = solve_F(k, obs, kappa, method=method, variant=variant)
-        return float(np.sum(weight * sol.F).real)
+        return float(np.sum(weight * solve_F(k, obs, kappa).F).real)
 
-    return _quad(integrand, 0.0, lam, quad) + lam * mu_o
+    return np.array([_quad(integrand, 0.0, lam, quad) + lam * mu_o if lam != 0.0
+                     else 0.0 for lam in lams])
 
 
 def log_mgf_diagonal_sequence(k: SpectrumKernel, tau_seq, lam: float,

@@ -30,7 +30,8 @@ class PotentialSpec:
     square_well(v, radius): V = v on [0, radius].
     gaussian_truncated(v, width, radius): V = v exp(-r^2/(2 width^2)) on [0, radius].
     direct(a): no potential; the scattering quantity is given directly.
-    All lengths in torus units; v >= 0 (repulsive, compactly supported).
+    All lengths in torus units; v >= 0 (repulsive, compactly supported) and
+    a >= 0.
     """
 
     kind: str
@@ -49,6 +50,8 @@ class PotentialSpec:
                 raise ValueError("support radius must be positive")
         if self.kind == "gaussian_truncated" and self.width <= 0:
             raise ValueError("gaussian width must be positive")
+        if self.kind == "direct" and self.a < 0:
+            raise ValueError("direct scattering quantity a must be nonnegative")
 
     @property
     def support_radius(self) -> float:

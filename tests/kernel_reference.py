@@ -1,0 +1,248 @@
+"""Reference kernels and solvers for the observable fixed point (tests only).
+
+The package ships one kernel construction, the derived one in
+``bose_genfun.observable``.  This module keeps what the tests hold it
+against; it has no ``test_`` prefix, so pytest imports it but collects
+nothing from it.
+
+* The "paper" kernels: the closed-form linearized A and D printed in the
+  source derivation, in which conj(F_{l,k}) has been rewritten in terms of
+  F_{k,l} through the cross-symmetry c_q s_p F_{p,q} = c_p s_q conj(F_{q,p}).
+  That identity holds exactly when O commutes with momentum negation and
+  complex conjugation in the lattice basis (e.g. O = identity, or real
+  symmetric parity-even O on equal-|nu| mode sets), and the two
+  constructions then agree to solver precision.  For generic complex
+  Hermitian O it fails at first order in kappa, and the paper solution
+  deviates from the Fock oracle at O(kappa^2).  The printed split-form
+  source also carries a ninth summand (``with_term9``) that breaks the
+  raw/stabilized equality.  The tests pin both discrepancies.
+* The raw (unsubtracted) forms of both constructions, for raw == stabilized.
+* A brute-force four-index tensor, a power-iteration estimate of the norm
+  of D, and a realified dense solver for F = A + D[F], which also gives a
+  second route to Lambda_O.
+"""
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+from bose_genfun.genfun import _quad
+from bose_genfun.observable import (
+    _access,
+    _diag,
+    _exp_pair,
+    _Factors,
+    apply_D,
+    kernel_A,
+    observable_mean,
+)
+
+
+class RefFactors:
+    """Every exponential factor of one (observable, kappa), raw and subtracted."""
+
+    def __init__(self, k, obs, kappa):
+        self.s, self.c, self.t = k.s, k.c, k.t
+        self.neg = k.lattice.neg_index
+        self.ep, self.em = _exp_pair(obs, kappa)
+        eye = np.eye(obs.size)
+        self.pbar = self.ep.conj()
+        self.dm = self.em - eye
+        self.dbp = self.pbar - eye
+
+
+# ----------------------------------------------------------------- sources
+
+
+def kernel_A_paper(k, obs, kappa, with_term9=False):
+    """Linearized source kernel, stabilized form; with_term9 appends the
+    ninth printed summand."""
+    f = RefFactors(k, obs, kappa)
+    s, c, neg = f.s, f.c, f.neg
+    m1 = f.dbp[neg][:, neg].T
+    m1m = f.dm[neg][:, neg].T
+    a = _diag(c * c * s) @ f.dbp @ _diag(c)
+    a += np.outer(c, c) * ((f.dbp[:, neg]).T @ _diag(c * s) @ f.dbp[neg, :])
+    a += _diag(c) @ m1 @ _diag(c * c * s)
+    a += np.outer(s, s) * (m1m @ _diag(s * c) @ f.dm)
+    a += _diag(s) @ m1m @ _diag(s * s * c)
+    a -= np.outer(s, c) * ((f.em[:, neg]).T @ _diag(s * s) @ f.dbp[:, neg])
+    a -= _diag(s) @ m1m @ _diag(c * s * s)
+    a -= np.outer(c, s) * (f.dbp.T @ _diag(s * s) @ f.em)
+    if with_term9:
+        a -= _diag(c * s * s) @ f.dm @ _diag(s)
+    return a
+
+
+def kernel_A_raw(k, obs, kappa, variant):
+    """Unsubtracted source kernel of the "derived" or the "paper" construction."""
+    f = RefFactors(k, obs, kappa)
+    s, c, neg = f.s, f.c, f.neg
+    a = -_diag(c * s)
+    a += np.outer(c, c) * ((f.pbar[:, neg]).T @ _diag(c * s) @ f.pbar[neg, :])
+    if variant == "derived":
+        a += np.outer(s, s) * (f.em.T @ _diag(s * c) @ f.em[neg][:, neg])
+        a -= np.outer(s, c) * (f.em.T @ _diag(s * s) @ f.pbar)
+        a -= np.outer(c, s) * ((f.pbar[:, neg]).T @ _diag(s * s) @ f.em[:, neg])
+        return a
+    if variant == "paper":
+        a += np.outer(s, s) * ((f.em[neg][:, neg]).T @ _diag(s * c) @ f.em)
+        a -= np.outer(s, c) * ((f.em[:, neg]).T @ _diag(s * s) @ f.pbar[:, neg])
+        a -= np.outer(c, s) * (f.pbar.T @ _diag(s * s) @ f.em)
+        return a
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+# ------------------------------------------------------- fixed-point maps D
+
+
+def _paper_terms(f, raw):
+    """The linearized D as (left, right, access) triples; see observable._Factors."""
+    s, c, t, neg = f.s, f.c, f.t, f.neg
+    if raw:
+        l1 = _diag(c) @ (f.pbar[neg][:, neg]).T @ _diag(c)
+        l2 = _diag(c) @ (f.em[:, neg]).T @ _diag(c)
+        l4 = _diag(c) @ f.em.T @ _diag(c)
+        r1 = _diag(s * t) @ f.pbar @ _diag(c)
+        r2 = _diag(s * t) @ f.em[neg, :] @ _diag(c)
+        r3 = _diag(s * t) @ f.pbar[:, neg] @ _diag(c)
+        return [(l1, r1, "plain"), (l2, r2, "plain"),
+                (-l2, r3, "plain"), (-l4, r1, "plain")]
+    a_t1 = _diag(c) @ (f.dbp[neg][:, neg].T - f.dm.T) @ _diag(c)
+    b_t4c = (_diag(s * t) @ (f.dm[neg, :] - f.dbp[:, neg])) @ _diag(c)
+    b_t5 = _diag(s * t) @ f.dbp @ _diag(c)
+    a_t6 = _diag(c) @ (f.dm[:, neg]).T @ _diag(c)
+    return [(a_t1, _diag(s * s), "plain"), (_diag(c * c), b_t4c, "negrow"),
+            (a_t1, b_t5, "plain"), (a_t6, b_t4c, "plain")]
+
+
+def _derived_raw_terms(f):
+    s, c, neg = f.s, f.c, f.neg
+    a1 = _diag(c) @ (f.pbar[neg][:, neg].T) @ _diag(s)
+    b1 = _diag(s) @ f.pbar[neg, :] @ _diag(c)
+    a2 = _diag(s) @ f.em.T @ _diag(c)
+    b2 = _diag(c) @ f.em[:, neg] @ _diag(s)
+    return [(a1, b1, "tilde"), (a2, b2, "tilde"),
+            (-a2, b1, "tilde"), (-a1, b2, "negconj")]
+
+
+def _apply_terms(terms, F, neg):
+    out = np.zeros_like(F)
+    for left, right, mode in terms:
+        if mode == "plain":
+            acc = F
+        elif mode == "negrow":
+            acc = F[neg, :]
+        else:
+            acc = _access(F, mode, neg)
+        out += left @ acc @ right
+    return out
+
+
+def apply_D_paper(k, obs, kappa, F, raw=False):
+    """Apply the linearized (complex-linear) D, stabilized or raw."""
+    f = RefFactors(k, obs, kappa)
+    return _apply_terms(_paper_terms(f, raw), np.asarray(F, dtype=complex), f.neg)
+
+
+def apply_D_raw(k, obs, kappa, F):
+    """Apply the unsubtracted derived D; it equals the production map only on
+    the exchange-symmetric subspace F = F[neg][:, neg].T."""
+    f = RefFactors(k, obs, kappa)
+    return _apply_terms(_derived_raw_terms(f), np.asarray(F, dtype=complex), f.neg)
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def d_tensor_bruteforce(apply, n):
+    """Materialized 4-index action T[p,q,k,l] of a map F -> D[F] on n x n F.
+
+    Built from real unit matrices, so for an antilinear D the tensor
+    multiplies conj(F); tests contract it accordingly.
+    """
+    tensor = np.zeros((n, n, n, n), dtype=complex)
+    basis = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            basis[a, b] = 1.0
+            tensor[:, :, a, b] = apply(basis)
+            basis[a, b] = 0.0
+    return tensor
+
+
+def realified(apply, n):
+    """The real 2n^2 x 2n^2 matrix of a real-linear map on complex n x n F."""
+    m = np.zeros((2 * n * n, 2 * n * n))
+    basis = np.zeros((n, n), dtype=complex)
+    col = 0
+    for part in (1.0, 1.0j):
+        for i in range(n):
+            for j in range(n):
+                basis[i, j] = part
+                img = apply(basis)
+                m[:n * n, col] = img.real.ravel()
+                m[n * n:, col] = img.imag.ravel()
+                basis[i, j] = 0.0
+                col += 1
+    return m
+
+
+def dense_solve(a, apply):
+    """Solve F = a + D[F] directly on the realified (I - D) system."""
+    n = a.shape[0]
+    m = realified(apply, n)
+    rhs = np.concatenate([a.real.ravel(), a.imag.ravel()])
+    x = scipy.linalg.solve(np.eye(2 * n * n) - m, rhs)
+    return (x[:n * n] + 1j * x[n * n:]).reshape(n, n)
+
+
+def log_mgf_dense(k, obs, lam, quad=None):
+    """Lambda_O(lambda) by the same quadrature as log_mgf_general, with each
+    fixed point taken from dense_solve instead of the Neumann series."""
+    if lam == 0.0:
+        return 0.0
+    weight = np.outer(k.s, k.c) * obs.o
+
+    def integrand(kappa):
+        if kappa == 0.0:
+            return 0.0
+        F = dense_solve(kernel_A(k, obs, kappa),
+                        lambda X: apply_D(k, obs, kappa, X))
+        return float(np.sum(weight * F).real)
+
+    return _quad(integrand, 0.0, lam, quad) + lam * observable_mean(k, obs)
+
+
+def _access_adjoint(Y, left, right, mode, neg):
+    """Adjoint of F -> left @ access(F) @ right in the real inner product
+    <X, Y> = Re tr(X^dag Y), for the derived access modes."""
+    if mode == "tilde":
+        # T(F) = L (F^dag N) R  =>  T^T(Y) = N R Y^dag L
+        return (right @ Y.conj().T @ left)[neg, :]
+    if mode == "negconj":
+        return (left.conj().T @ Y @ right.conj().T).conj()[neg, :]
+    raise ValueError(mode)
+
+
+def d_norm_estimate(k, obs, kappa, iters=80, seed=0):
+    """Power-iteration estimate of the true (real-linear) spectral norm of D."""
+    if kappa == 0.0:
+        return 0.0
+    f = _Factors(k, obs, kappa)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k.size, k.size)) + 1j * rng.standard_normal((k.size, k.size))
+    x /= np.linalg.norm(x)
+    est = 0.0
+    for _ in range(iters):
+        y = _apply_terms(f.terms, x, f.neg)
+        z = np.zeros_like(x)
+        for left, right, mode in f.terms:
+            z += _access_adjoint(y, left, right, mode, f.neg)
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            return 0.0
+        est = math.sqrt(nz)
+        x = z / nz
+    return float(est)

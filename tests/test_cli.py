@@ -255,6 +255,26 @@ def test_config_error_paths(tmp_path):
         assert code == 2, broken
 
 
+@pytest.mark.parametrize("change", [
+    {"output": "json"},
+    {"quadrature": [1]},
+    {"seed": "x"},
+    {"observable": {"kind": "random", "pairs": "x"}},
+    {"potential": {"kind": "direct", "a": -0.01}},
+    {"potential": {"kind": "direct", "a": math.nan}},
+    {"cutoff_m": 2.7},
+    {"cutoff_m": True},
+    {"lambda_grid": {"min": math.nan, "max": 0.5, "count": 3}},
+], ids=["output-not-object", "quadrature-not-object", "seed-string",
+        "pairs-string", "negative-a", "nan-a", "fractional-cutoff",
+        "bool-cutoff", "nan-grid-min"])
+def test_mistyped_config_exits_2(tmp_path, capsys, change):
+    code, text = run(tmp_path, "genfun", dict(BASE, **change))
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_byte_identical_reruns(tmp_path):
     body = dict(BASE, lambda_grid={"min": -1.0, "max": 1.0, "count": 5})
     _, first = run(tmp_path, "genfun", body, out_name="a.txt")

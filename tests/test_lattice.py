@@ -2,13 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bose_genfun.lattice import (
-    build_lattice,
-    lattice_from_vectors,
-    p_squared,
-    p_squared_array,
-)
+from bose_genfun.lattice import build_lattice, lattice_from_vectors, p_squared_array
 
 TWO_PI = 2.0 * np.pi
 
@@ -30,12 +27,6 @@ def test_lexicographic_order():
     lat = build_lattice(2)
     rows = [tuple(v) for v in lat.vectors]
     assert rows == sorted(rows)
-
-
-def test_index_round_trip():
-    lat = build_lattice(3)
-    for i, v in enumerate(lat.vectors):
-        assert lat.index_of[tuple(v)] == i
 
 
 def test_negation_involution_exhaustive():
@@ -68,15 +59,11 @@ def test_desk_lattice_layout():
 
 def test_p_squared_values():
     lat = build_lattice(1)
-    i = lat.index_of[(1, 0, 0)]
-    assert p_squared(lat, i) == pytest.approx(4.0 * np.pi**2, rel=1e-15)
-    j = lat.index_of[(1, 1, 1)]
-    assert p_squared(lat, j) == pytest.approx(12.0 * np.pi**2, rel=1e-15)
+    rows = [tuple(v) for v in lat.vectors]
     arr = p_squared_array(lat)
     assert arr.shape == (26,)
-    assert arr[i] == p_squared(lat, i)
-    with pytest.raises(IndexError):
-        p_squared(lat, lat.size)
+    assert arr[rows.index((1, 0, 0))] == pytest.approx(4.0 * np.pi**2, rel=1e-15)
+    assert arr[rows.index((1, 1, 1))] == pytest.approx(12.0 * np.pi**2, rel=1e-15)
 
 
 def test_even_functions_pair_consistently():
@@ -101,3 +88,22 @@ def test_invalid_inputs():
         lattice_from_vectors(np.empty((0, 3), dtype=int))
     with pytest.raises(ValueError):
         lattice_from_vectors([(1, 0)])
+
+
+_NONZERO = st.tuples(*[st.integers(-3, 3)] * 3).filter(lambda v: v != (0, 0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NONZERO, min_size=1, max_size=12))
+def test_negation_structure_of_arbitrary_mode_sets(vectors):
+    lat = lattice_from_vectors(vectors)
+    neg, idx = lat.neg_index, np.arange(lat.size)
+    expected = {v for u in vectors for v in (u, tuple(-c for c in u))}
+    assert {tuple(int(c) for c in v) for v in lat.vectors} == expected
+    assert lat.size == len(expected)
+    assert np.array_equal(neg[neg], idx) and np.all(neg != idx)
+    assert np.array_equal(lat.vectors[neg], -lat.vectors)
+    # pairs list each {i, -i} orbit once, smaller index first
+    assert len(lat.pairs) == lat.size // 2
+    assert np.array_equal(np.sort(lat.pairs.ravel()), idx)
+    assert all(i < j and neg[i] == j for i, j in lat.pairs)

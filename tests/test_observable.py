@@ -2,10 +2,10 @@
 
 Layout note: lattice pair j occupies Fock oracle modes (2j, 2j+1), so every
 comparison below permutes indices through the lattice's pair list.  The
-"derived" kernel variant is the production default; the "paper" variant is
-the linearized cross-symmetry form that is exact only on real, parity-even
-observables, and its generic-case deviation is pinned here as a diagnostic,
-never asserted away.
+package ships the derived kernels; the "paper" kernels of kernel_reference
+are the linearized cross-symmetry form that is exact only on real,
+parity-even observables, and their generic-case deviation is pinned here
+as a diagnostic, never asserted away.
 """
 
 import math
@@ -13,18 +13,16 @@ import math
 import numpy as np
 import pytest
 
+import bose_genfun.observable as observable_mod
 from bose_genfun.fockoracle import build_space, mgf_oracle, pair_amplitudes
 from bose_genfun.genfun import QuadratureSpec, log_mgf_closed
-from bose_genfun.lattice import build_lattice, lattice_from_vectors
+from bose_genfun.lattice import lattice_from_vectors
 from bose_genfun.observable import (
     apply_D,
     certified_domain,
     d_norm_bound,
-    d_norm_estimate,
-    d_tensor_bruteforce,
     exp_of_O,
     kernel_A,
-    kernel_A_raw,
     log_mgf_diagonal_sequence,
     log_mgf_general,
     observable_from_csv,
@@ -34,8 +32,19 @@ from bose_genfun.observable import (
     observable_random,
     solve_F,
 )
-from bose_genfun.observable import _Factors, _separable_terms, _access
+from bose_genfun.observable import _Factors, _residuals
 from bose_genfun.spectrum import build_kernel, depletion_mean, kernel_from_nu
+from kernel_reference import (
+    apply_D_paper,
+    apply_D_raw,
+    d_norm_estimate,
+    d_tensor_bruteforce,
+    dense_solve,
+    kernel_A_paper,
+    kernel_A_raw,
+    log_mgf_dense,
+    realified,
+)
 
 DESK = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
 A16PI = 16.0 * math.pi * 0.05
@@ -185,10 +194,10 @@ def test_kernel_A_first_order():
 def test_kernel_A_raw_equals_stabilized():
     k = generic_kernel()
     obs = observable_random(DESK, seed=11, ensemble="hermitian")
-    for variant in ("derived", "paper"):
+    for variant, stabilized in (("derived", kernel_A), ("paper", kernel_A_paper)):
         for kap in (-0.4, 0.05, 0.3):
-            stab = kernel_A(k, obs, kap, variant=variant)
-            raw = kernel_A_raw(k, obs, kap, variant=variant)
+            stab = stabilized(k, obs, kap)
+            raw = kernel_A_raw(k, obs, kap, variant)
             assert np.max(np.abs(stab - raw)) < 1e-9
 
 
@@ -197,9 +206,9 @@ def test_paper_ninth_source_term_is_spurious():
     # orders of magnitude; the production kernel drops it
     k = generic_kernel()
     obs = observable_random(DESK, seed=11, ensemble="hermitian")
-    raw = kernel_A_raw(k, obs, 0.3, variant="paper")
-    with_it = kernel_A(k, obs, 0.3, variant="paper", with_term9=True)
-    without = kernel_A(k, obs, 0.3, variant="paper")
+    raw = kernel_A_raw(k, obs, 0.3, "paper")
+    with_it = kernel_A_paper(k, obs, 0.3, with_term9=True)
+    without = kernel_A_paper(k, obs, 0.3)
     assert np.max(np.abs(without - raw)) < 1e-12
     assert np.max(np.abs(with_it - raw)) > 1e-8
 
@@ -211,12 +220,12 @@ def test_apply_D_matches_bruteforce_tensor():
     k = generic_kernel()
     rng = np.random.default_rng(2)
     F = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    for variant, conjugate in (("derived", True), ("paper", False)):
+    for apply, conjugate in ((apply_D, True), (apply_D_paper, False)):
         obs = observable_random(DESK, seed=9, ensemble="hermitian")
-        tensor = d_tensor_bruteforce(k, obs, 0.25, variant=variant)
+        tensor = d_tensor_bruteforce(lambda X: apply(k, obs, 0.25, X), 4)
         arg = F.conj() if conjugate else F
         direct = np.einsum("pqkl,kl->pq", tensor, arg)
-        via = apply_D(k, obs, 0.25, F, variant=variant)
+        via = apply(k, obs, 0.25, F)
         assert np.max(np.abs(direct - via)) < 1e-12
 
 
@@ -229,16 +238,15 @@ def test_apply_D_raw_equals_stabilized():
     # the derived regrouping is an identity only on the exchange-symmetric
     # subspace F = F~ (which contains every fixed point)
     F_sym = 0.5 * (F + F[neg][:, neg].T)
-    d_raw = apply_D(k, obs, 0.3, F_sym, variant="derived", raw=True)
-    d_stab = apply_D(k, obs, 0.3, F_sym, variant="derived")
+    d_raw = apply_D_raw(k, obs, 0.3, F_sym)
+    d_stab = apply_D(k, obs, 0.3, F_sym)
     assert np.max(np.abs(d_raw - d_stab)) < 1e-9
     # ... and genuinely differs off that subspace
-    off = apply_D(k, obs, 0.3, F, variant="derived", raw=True) \
-        - apply_D(k, obs, 0.3, F, variant="derived")
+    off = apply_D_raw(k, obs, 0.3, F) - apply_D(k, obs, 0.3, F)
     assert np.max(np.abs(off)) > 1e-6
 
-    p_raw = apply_D(k, obs, 0.3, F, variant="paper", raw=True)
-    p_stab = apply_D(k, obs, 0.3, F, variant="paper")
+    p_raw = apply_D_paper(k, obs, 0.3, F, raw=True)
+    p_stab = apply_D_paper(k, obs, 0.3, F)
     assert np.max(np.abs(p_raw - p_stab)) < 1e-9
 
 
@@ -286,19 +294,7 @@ def test_norm_bound_and_estimate():
 
     # the power iteration reproduces the spectral norm of the materialized
     # real-linear operator (realified, since the map is antilinear)
-    n = k.size
-    m = np.zeros((2 * n * n, 2 * n * n))
-    basis = np.zeros((n, n), dtype=complex)
-    col = 0
-    for part in (1.0, 1.0j):
-        for i in range(n):
-            for j in range(n):
-                basis[i, j] = part
-                img = apply_D(k, obs, 0.5, basis)
-                m[:n * n, col] = img.real.ravel()
-                m[n * n:, col] = img.imag.ravel()
-                basis[i, j] = 0.0
-                col += 1
+    m = realified(lambda X: apply_D(k, obs, 0.5, X), k.size)
     true_norm = float(np.linalg.norm(m, 2))
     assert est == pytest.approx(true_norm, rel=1e-8)
     assert bnd >= true_norm
@@ -311,10 +307,11 @@ def test_solver_routes_agree():
     k = desk_kernel()
     obs = observable_random(DESK, seed=7)
     neu = solve_F(k, obs, 0.6)
-    den = solve_F(k, obs, 0.6, method="dense")
-    assert np.max(np.abs(neu.F - den.F)) < 1e-10
-    assert neu.residual < 1e-12 and den.residual < 1e-12
-    assert neu.method == "neumann" and den.method == "dense"
+    a = kernel_A(k, obs, 0.6)
+    den = dense_solve(a, lambda X: apply_D(k, obs, 0.6, X))
+    den_residual = np.linalg.norm(den - (a + apply_D(k, obs, 0.6, den)))
+    assert np.max(np.abs(neu.F - den)) < 1e-10
+    assert neu.residual < 1e-12 and den_residual < 1e-12
     assert neu.iterations >= 1
 
 
@@ -323,12 +320,11 @@ def test_solver_domain_and_cap_errors():
     obs = observable_random(DESK, seed=7)
     with pytest.raises(ValueError):
         solve_F(k, obs, k.lambda0 + 0.1)
-    lat_big = build_lattice(2)  # 124 modes > dense cap
-    k_big = build_kernel(lat_big, A16PI)
-    with pytest.raises(ValueError):
-        solve_F(k_big, observable_identity(lat_big), 0.1, method="dense")
-    with pytest.raises(ValueError):
-        solve_F(k, obs, 0.1, method="lu")
+    # inside (-lambda0, lambda0) but past the certified contraction cap
+    dom = certified_domain(k, obs)
+    assert dom < 0.99 * k.lambda0
+    with pytest.raises(ValueError, match="certified contraction"):
+        solve_F(k, obs, 0.5 * (dom + k.lambda0))
 
 
 def test_solution_matches_fock_oracle_symmetric_class():
@@ -336,11 +332,13 @@ def test_solution_matches_fock_oracle_symmetric_class():
     obs = observable_random(DESK, seed=7)
     lam = 0.5
     ref = oracle_amplitudes(k, obs, lam, n_max=10)
-    for variant in ("derived", "paper"):
-        sol = solve_F(k, obs, lam, variant=variant)
-        assert np.max(np.abs(sol.F - ref)) < 1e-10
-        assert sol.symmetry_residual < 1e-10
-        assert sol.exchange_residual < 1e-12
+    paper = dense_solve(kernel_A_paper(k, obs, lam),
+                        lambda X: apply_D_paper(k, obs, lam, X))
+    for F in (solve_F(k, obs, lam).F, paper):
+        sym, exch = _residuals(k, F)
+        assert np.max(np.abs(F - ref)) < 1e-10
+        assert sym < 1e-10
+        assert exch < 1e-12
 
 
 def test_solution_matches_fock_oracle_generic():
@@ -355,8 +353,9 @@ def test_solution_matches_fock_oracle_generic():
     assert dev_derived < 1e-8
     assert derived.exchange_residual < 1e-10
 
-    paper = solve_F(k, obs, lam, variant="paper")
-    dev_paper = np.max(np.abs(paper.F - ref))
+    paper = dense_solve(kernel_A_paper(k, obs, lam),
+                        lambda X: apply_D_paper(k, obs, lam, X))
+    dev_paper = np.max(np.abs(paper - ref))
     assert dev_paper > 100 * max(dev_derived, 1e-12)
     assert dev_paper > 1e-7
 
@@ -373,6 +372,23 @@ def test_certified_domain_brackets_contraction():
                 or d_norm_bound(k, obs, -probe) >= 1.0)
 
 
+def test_certified_domain_bisects_to_float_resolution(monkeypatch):
+    # the bisection ends once no float lies strictly inside the bracket:
+    # dom contracts and its float successor does not, well before 80 steps
+    k = desk_kernel()
+    obs = observable_random(DESK, seed=7)
+    calls = []
+    real = observable_mod.d_norm_bound
+    monkeypatch.setattr(observable_mod, "d_norm_bound",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    dom = certified_domain(k, obs)
+    assert dom < 0.99 * k.lambda0
+    assert len(calls) < 2 * 60
+    after = math.nextafter(dom, math.inf)
+    assert max(real(k, obs, dom), real(k, obs, -dom)) < 1.0
+    assert max(real(k, obs, after), real(k, obs, -after)) >= 1.0
+
+
 # ------------------------------------------------------------- MGF exponent
 
 
@@ -381,7 +397,7 @@ def test_log_mgf_general_identity_chain():
     k = desk_kernel()
     obs = observable_identity(DESK)
     lam = 0.8
-    got = log_mgf_general(k, obs, lam)
+    got = log_mgf_general(k, obs, [lam])[0]
     assert got == pytest.approx(log_mgf_closed(k, lam), abs=1e-8)
 
 
@@ -394,9 +410,9 @@ def test_log_mgf_general_vs_fock_oracle():
     o_small = obs.o[np.ix_(lat_of_fock, lat_of_fock)]
     ref = mgf_oracle(build_space(2, 10), nu_by_pair, o_small, lam,
                      required_accuracy=1e-8)
-    got = log_mgf_general(k, obs, lam)
+    got = log_mgf_general(k, obs, [lam])[0]
     assert got == pytest.approx(math.log(ref.value.real), abs=1e-8)
-    den = log_mgf_general(k, obs, lam, method="dense")
+    den = log_mgf_dense(k, obs, lam)
     assert abs(got - den) < 1e-10
 
 
@@ -405,8 +421,8 @@ def test_log_mgf_general_domain_rejection():
     obs = observable_random(DESK, seed=7)
     dom = certified_domain(k, obs)
     with pytest.raises(ValueError):
-        log_mgf_general(k, obs, dom * 1.01)
-    assert log_mgf_general(k, obs, 0.0) == 0.0
+        log_mgf_general(k, obs, [dom * 1.01])
+    assert log_mgf_general(k, obs, [0.0])[0] == 0.0
 
 
 def test_diagonal_sequence_routes():
@@ -419,7 +435,7 @@ def test_diagonal_sequence_routes():
     assert log_mgf_diagonal_sequence(k, np.zeros(4), lam) == 0.0
     # pair-even weights agree with the general fixed-point route
     tau = np.array([0.7, 0.2, 0.2, 0.7])
-    gen = log_mgf_general(k, observable_from_matrix(DESK, np.diag(tau)), lam)
+    gen = log_mgf_general(k, observable_from_matrix(DESK, np.diag(tau)), [lam])[0]
     assert log_mgf_diagonal_sequence(k, tau, lam) == pytest.approx(gen, abs=1e-10)
 
 
@@ -435,7 +451,7 @@ def test_diagonal_sequence_uneven_weights_are_a_different_quantity():
     per_mode = log_mgf_diagonal_sequence(k, tau, lam)
     ref = mgf_oracle(build_space(1, 40), [nu], np.diag([1.0, 0.0]), lam)
     true_val = math.log(ref.value.real)
-    gen = log_mgf_general(k, observable_from_matrix(lat, np.diag(tau)), lam)
+    gen = log_mgf_general(k, observable_from_matrix(lat, np.diag(tau)), [lam])[0]
     assert gen == pytest.approx(true_val, abs=1e-9)
     assert abs(per_mode - true_val) > 1e-4
 
