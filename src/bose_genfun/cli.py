@@ -31,8 +31,7 @@ from .observable import (certified_domain, log_mgf_diagonal_sequence,
                          log_mgf_general, observable_from_csv,
                          observable_mean, observable_random, solve_F)
 from .scattering import PotentialSpec, scattering_length, solve_scattering
-from .spectrum import (SpectrumKernel, build_kernel, depletion_mean,
-                       depletion_variance)
+from .spectrum import SpectrumKernel, build_kernel, depletion_mean
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,6 +84,13 @@ def _float(value, name: str) -> float:
     if not finite:
         raise ConfigError(f"{name} must be a finite number (got {value!r})")
     return float(value)
+
+
+def _path(value, name: str):
+    """A config path: a JSON string, or None when absent."""
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string (got {value!r})")
+    return value
 
 
 def _section(raw: dict, key: str, default):
@@ -155,8 +161,10 @@ def parse_config(path: str, seed_override: int | None = None,
     obs = _section(raw, "observable", {"kind": "none"})
     if obs.get("kind") not in ("none", "identity", "csv", "random"):
         raise ConfigError("observable.kind must be none|identity|csv|random")
-    if obs["kind"] == "csv" and not obs.get("path"):
+    if obs["kind"] == "csv" and not _path(obs.get("path"), "observable.path"):
         raise ConfigError("observable.kind=csv requires a 'path'")
+    if obs.get("ensemble", "real-parity") not in ("real-parity", "hermitian"):
+        raise ConfigError("observable.ensemble must be real-parity|hermitian")
     obs = dict(obs, pairs=_int(obs.get("pairs", 2), "observable.pairs"))
     if obs["kind"] == "random" and obs["pairs"] not in (1, 2):
         raise ConfigError("observable.random supports pairs in {1, 2}")
@@ -172,7 +180,9 @@ def parse_config(path: str, seed_override: int | None = None,
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format must be csv or json")
-    out_path = out_override if out_override is not None else out.get("path")
+    out_path = _path(out.get("path"), "output.path")
+    if out_override is not None:
+        out_path = out_override
 
     n_list = raw.get("n_list")
     if n_list is not None:
@@ -319,8 +329,9 @@ def cmd_moments(cfg: RunConfig) -> int:
 def cmd_tails(cfg: RunConfig, n_list=None) -> int:
     warnings: list = []
     k = _cube_kernel(cfg)
-    mu = depletion_mean(k)
-    sigma = math.sqrt(depletion_variance(k))
+    cum = cumulants(k, 4)  # mu, sigma^2 and the witness's E4 in one engine call
+    mu, var = float(cum.kappa[1]), float(cum.kappa[2])
+    sigma = math.sqrt(var)
     ns = n_list if n_list is not None else cfg.n_list
     if ns is None:
         ns = [mu + j * sigma for j in range(4)]
@@ -328,13 +339,12 @@ def cmd_tails(cfg: RunConfig, n_list=None) -> int:
                "m", "epsilon", "second_moment", "fourth_moment", "note"]
     rows = []
     for n in ns:
-        for maker, label in ((tailsmod.chernoff_bound, "chernoff"),
-                             (tailsmod.quadratic_bound, "quadratic")):
-            b = maker(k, float(n))
+        for b, label in ((tailsmod.chernoff_bound(k, float(n), mu), "chernoff"),
+                         (tailsmod.quadratic_bound(k, float(n), mu, var), "quadratic")):
             rows.append([label, b.n, b.lambda_star, b.exponent, b.bound,
                          "", "", "", "", b.note])
     if sigma > 0.0:
-        wit = tailsmod.nonconcentration_witness(k, cumulants(k, 4).central[4])
+        wit = tailsmod.nonconcentration_witness(var, cum.central[4])
         rows.append(["witness", wit.n, "", "", "", wit.m, wit.epsilon,
                      wit.second_moment, wit.fourth_moment, ""])
     else:

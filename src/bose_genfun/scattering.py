@@ -7,8 +7,14 @@ a_paper = integral V f dx = 4*pi * int V(r) f(r) r^2 dr equals 8*pi*a_std
 identically (divergence theorem on the scattering equation), which the
 solver exposes as a cross-check rather than assuming.
 
-Integration is fixed-step RK4, split so the support edge is a grid node;
-the reported residual is a step-halving (Richardson) error estimate.
+Inside the support R the solver runs fixed-step RK4 with R as a grid
+node.  The equation is linear, so each step maps (u, u') by a 2x2 matrix
+that depends only on V at the step's start, midpoint and end; all step
+matrices are built at once from three array evaluations of V and then
+applied in one pass.  Outside R, where RK4 would be exact, u is written
+as the line through the edge state, and a_std = R - u(R)/u'(R) is read
+from that state.  The reported residual is a step-halving (Richardson)
+error estimate.
 """
 
 from __future__ import annotations
@@ -78,50 +84,46 @@ class ScatteringSolution:
     residual: float
 
 
-def _rk4_segment(vfun, r0, u0, du0, r1, steps):
-    """March u'' = V(r) u / 2 from r0 to r1 with `steps` RK4 steps.
-
-    vfun must be the smooth restriction of the potential to [r0, r1]; the
-    caller splits at the support edge so no step straddles the jump.
-    """
-    h = (r1 - r0) / steps
-    rs = np.empty(steps + 1)
-    us = np.empty(steps + 1)
-    rs[0], us[0] = r0, u0
-    u, du = u0, du0
-    for i in range(steps):
-        r = r0 + i * h
-
-        def acc(rr, uu):
-            return 0.5 * vfun(rr) * uu
-
-        k1u, k1d = du, acc(r, u)
-        k2u, k2d = du + 0.5 * h * k1d, acc(r + 0.5 * h, u + 0.5 * h * k1u)
-        k3u, k3d = du + 0.5 * h * k2d, acc(r + 0.5 * h, u + 0.5 * h * k2u)
-        k4u, k4d = du + h * k3d, acc(r + h, u + h * k3u)
-        u += (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        du += (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-        rs[i + 1] = r0 + (i + 1) * h
-        us[i + 1] = u
-    return rs, us, du
+def _rk4_step(w1, w2, w3, h, u, du):
+    """One classical RK4 step of u'' = w(r) u, with w = V/2 sampled at the
+    step's start, midpoint and end.  Works elementwise on arrays."""
+    k1u, k1d = du, w1 * u
+    k2u, k2d = du + 0.5 * h * k1d, w2 * (u + 0.5 * h * k1u)
+    k3u, k3d = du + 0.5 * h * k2d, w2 * (u + 0.5 * h * k2u)
+    k4u, k4d = du + h * k3d, w3 * (u + h * k3u)
+    return (u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u),
+            du + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d))
 
 
 def _integrate(pot, r_max, n_grid):
-    """Full profile on [0, r_max] with the support edge as a grid node."""
+    """Profile on [0, r_max] with the support edge as a grid node, and the
+    state (u, u') at the edge."""
     edge = pot.support_radius
-    if edge > 0.0:
-        n_in = max(32, int(round(n_grid * edge / r_max)))
-        n_out = max(32, n_grid - n_in)
-
-        def v_inside(rr: float) -> float:
-            return float(pot.evaluate(np.minimum(rr, edge)))
-
-        r_in, u_in, du_edge = _rk4_segment(v_inside, 0.0, 0.0, 1.0, edge, n_in)
-        r_out, u_out, _ = _rk4_segment(lambda rr: 0.0, edge, u_in[-1],
-                                       du_edge, r_max, n_out)
-        return np.concatenate([r_in, r_out[1:]]), np.concatenate([u_in, u_out[1:]])
-    rs = np.linspace(0.0, r_max, n_grid + 1)
-    return rs, rs.copy()  # V = 0 everywhere: u(r) = r exactly
+    if edge == 0.0:  # V = 0 everywhere: u(r) = r exactly
+        rs = np.linspace(0.0, r_max, n_grid + 1)
+        return rs, rs.copy(), (0.0, 1.0)
+    n_in = max(32, int(round(n_grid * edge / r_max)))
+    n_out = max(32, n_grid - n_in)
+    h = edge / n_in
+    r_in = np.arange(n_in + 1) * h
+    # V/2 at the three stage points of every step; the clamp keeps the last
+    # step on the smooth restriction of V to [0, edge]
+    w1, w2, w3 = (0.5 * pot.evaluate(np.minimum(x, edge))
+                  for x in (r_in[:-1], r_in[:-1] + 0.5 * h, r_in[:-1] + h))
+    # the equation is linear, so a step maps (u, u') by a 2x2 matrix whose
+    # columns are the step applied to (1, 0) and to (0, 1)
+    one, zero = np.ones(n_in), np.zeros(n_in)
+    m00, m10, m01, m11 = (x.tolist() for col in ((one, zero), (zero, one))
+                          for x in _rk4_step(w1, w2, w3, h, *col))
+    u, du = 0.0, 1.0
+    u_in = [u]
+    for a, b, c, d in zip(m00, m01, m10, m11):
+        u, du = a * u + b * du, c * u + d * du
+        u_in.append(u)
+    # V = 0 outside, where u is exactly linear (RK4 would reproduce it)
+    r_out = edge + np.arange(1, n_out + 1) * ((r_max - edge) / n_out)
+    u_out = u + du * (r_out - edge)
+    return np.concatenate([r_in, r_out]), np.concatenate([u_in, u_out]), (u, du)
 
 
 def solve_scattering(pot: PotentialSpec, r_max: float, n_grid: int) -> ScatteringSolution:
@@ -135,10 +137,10 @@ def solve_scattering(pot: PotentialSpec, r_max: float, n_grid: int) -> Scatterin
         raise ValueError("r_max must be positive")
 
     n = n_grid
-    r, u = _integrate(pot, r_max, n)
+    r, u, (u_edge, du_edge) = _integrate(pot, r_max, n)
     residual = math.inf
     for _ in range(_MAX_REFINEMENTS):
-        r2, u2 = _integrate(pot, r_max, 2 * n)
+        r2, u2, edge_state = _integrate(pot, r_max, 2 * n)
         # common nodes of the two grids are every other fine node per segment;
         # interpolation is adequate for the estimate
         u_on_r = np.interp(r, r2, u2)
@@ -146,18 +148,16 @@ def solve_scattering(pot: PotentialSpec, r_max: float, n_grid: int) -> Scatterin
         if residual <= _RESIDUAL_TOL:
             break
         n *= 2
-        r, u = r2, u2
+        r, u, (u_edge, du_edge) = r2, u2, edge_state
     else:
         raise ValueError(f"scattering grid did not converge (residual {residual:.3e})")
 
+    # outside the support u = u'(R) (r - R) + u(R) = u'(R) (r - a_std)
     edge = pot.support_radius
-    outside = r >= edge if edge > 0 else r > 0
-    slope, intercept = np.polyfit(r[outside], u[outside], 1)
-    a_std = float(-intercept / slope)
-
+    a_std = edge - u_edge / du_edge
     if edge > 0.0:
         inside = r <= edge
-        vals = pot.evaluate(r[inside]) * u[inside] * r[inside] / slope
+        vals = pot.evaluate(r[inside]) * u[inside] * r[inside] / du_edge
         a_paper = float(4.0 * math.pi * simpson(vals, x=r[inside]))
     else:
         a_paper = 0.0

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import (SpectrumKernel, depletion_mean, depletion_variance,
-                       log_mgf_derivatives)
+from .spectrum import SpectrumKernel, log_mgf_derivatives
 
 _ENGINE_CALL_CAP = 200
 
@@ -67,14 +66,13 @@ def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float]:
                           f"after {_ENGINE_CALL_CAP} closed-form evaluations")
 
 
-def chernoff_bound(k: SpectrumKernel, n: float) -> TailBound:
-    """Optimized exponential-moment bound on P[N_+ >= n].
+def chernoff_bound(k: SpectrumKernel, n: float, mu: float) -> TailBound:
+    """Optimized exponential-moment bound on P[N_+ >= n]; mu is the mean.
 
     Returns bound 1 (exponent 0) for n at or below the mean.  If every
     nu_p vanishes the depletion is deterministically zero, so any n > 0
     gets bound 0 (flagged in the note).
     """
-    mu = depletion_mean(k)
     if not np.any(k.nu != 0.0):
         if n > 0.0:
             return TailBound(n=n, lambda_star=math.inf, exponent=math.inf,
@@ -90,14 +88,14 @@ def chernoff_bound(k: SpectrumKernel, n: float) -> TailBound:
                      bound=math.exp(-exponent))
 
 
-def quadratic_bound(k: SpectrumKernel, n: float) -> TailBound:
+def quadratic_bound(k: SpectrumKernel, n: float, mu: float,
+                    var: float) -> TailBound:
     """Closed-form tail bound from the quadratic model lambda*mu +
-    lambda^2 sigma^2/2 of the exponent, optimized over (0, lambda0]."""
-    mu = depletion_mean(k)
+    lambda^2 var/2 of the exponent, optimized over (0, lambda0]; mu and
+    var are the mean and variance."""
     if n <= mu:
         return TailBound(n=n, lambda_star=0.0, exponent=0.0, bound=1.0,
                          note="n does not exceed the mean; trivial bound")
-    var = depletion_variance(k)
     if var == 0.0:
         return TailBound(n=n, lambda_star=math.inf, exponent=math.inf,
                          bound=0.0, note="zero variance: depletion is exactly 0")
@@ -112,17 +110,16 @@ def quadratic_bound(k: SpectrumKernel, n: float) -> TailBound:
                      bound=math.exp(-exponent), note="optimum clipped to lambda0")
 
 
-def nonconcentration_witness(k: SpectrumKernel,
+def nonconcentration_witness(var: float,
                              fourth_central: float) -> NonConcentrationWitness:
     """Paley-Zygmund witness: with probability at least epsilon =
     sigma^4 / (8 E4), the depletion deviates from its mean by at least
     n = sigma/2 while staying within n + m, where (n+m)^2 = 4 E4/sigma^2.
 
-    fourth_central is the fourth central moment E[(N - mu)^4] (compute it
-    with genfun.cumulants; it is passed in rather than recomputed so the
-    caller controls which moment route feeds the witness).
+    var = sigma^2 and fourth_central = E[(N - mu)^4] come from the caller
+    (genfun.cumulants gives both), so it controls which moment route feeds
+    the witness.
     """
-    var = depletion_variance(k)
     if var <= 0.0:
         raise ValueError("witness undefined for zero-variance depletion")
     if fourth_central < var * var:

@@ -186,22 +186,22 @@ def test_criterion_6_tail_bounds_and_witness():
     k = kernel_from_nu(DESK, [-0.55] * 4)
     mu, var = depletion_mean(k), depletion_variance(k)
     n = mu + 2.0 * math.sqrt(var)
-    b = chernoff_bound(k, n)
+    b = chernoff_bound(k, n, mu)
     grid = np.linspace(1e-12, k.lambda0 * (1.0 - 1e-12), 1_000_001)
     lg = -0.5 * np.sum(
         np.log(k.c**2 - np.exp(2.0 * grid)[:, None] * k.s**2), axis=1)
     grid_exp = float(np.max(grid * n - lg))
     ok_ch = abs(b.exponent - grid_exp) <= 1e-8
-    ok_triv = abs(chernoff_bound(k, mu).bound - 1.0) <= 1e-8
+    ok_triv = abs(chernoff_bound(k, mu, mu).bound - 1.0) <= 1e-8
 
     nq = mu + 0.25 * var * k.lambda0
-    q = quadratic_bound(k, nq)
+    q = quadratic_bound(k, nq, mu, var)
     ok_quad = (abs(q.lambda_star - (nq - mu) / var) <= 1e-12 * q.lambda_star
                and abs(q.exponent - (nq - mu) ** 2 / (2 * var))
                <= 1e-12 * q.exponent)
 
     e4 = cumulants(k, 4).central[4]
-    w = nonconcentration_witness(k, e4)
+    w = nonconcentration_witness(var, e4)
     vals, probs = depletion_distribution([-0.55, -0.55], j_cap=200)
     mass = float(np.sum(probs[np.abs(vals - mu) > w.n]))
     ok_wit = mass >= w.epsilon

@@ -265,9 +265,13 @@ def test_config_error_paths(tmp_path):
     {"cutoff_m": 2.7},
     {"cutoff_m": True},
     {"lambda_grid": {"min": math.nan, "max": 0.5, "count": 3}},
+    {"observable": {"kind": "csv", "path": 7}},
+    {"output": {"path": 5}},
+    {"observable": {"kind": "random", "ensemble": "ginibre"}},
 ], ids=["output-not-object", "quadrature-not-object", "seed-string",
         "pairs-string", "negative-a", "nan-a", "fractional-cutoff",
-        "bool-cutoff", "nan-grid-min"])
+        "bool-cutoff", "nan-grid-min", "int-csv-path", "int-output-path",
+        "unknown-ensemble"])
 def test_mistyped_config_exits_2(tmp_path, capsys, change):
     code, text = run(tmp_path, "genfun", dict(BASE, **change))
     assert code == 2 and text is None

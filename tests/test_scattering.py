@@ -14,12 +14,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bose_genfun.scattering import (
     PotentialSpec,
     scattering_length,
     solve_scattering,
 )
+from scattering_reference import solve_reference
 
 SQUARE = PotentialSpec(kind="square_well", v=1.0, radius=0.1)
 GAUSS = PotentialSpec(kind="gaussian_truncated", v=1.0, width=0.05, radius=0.1)
@@ -37,6 +39,31 @@ def test_square_well_against_closed_form():
     # frozen (mpmath): R - tanh(R/sqrt(2))*sqrt(2)
     assert sol.a_std == pytest.approx(0.00016633400657242907, rel=1e-8)
     assert sol.residual <= 1e-10
+
+
+# The benchmark workloads draw v in [0.5, 2], radius in [0.08, 0.12] and
+# width/radius in [1/3, 3/4]; these ranges reach past them on both sides
+# while keeping the scalar reference's accepted grid at 16384 steps or fewer.
+@settings(max_examples=8, deadline=None)
+@given(gaussian=st.booleans(), v=st.floats(0.05, 8.0),
+       radius=st.floats(0.03, 0.2), width_frac=st.floats(0.2, 1.0),
+       window=st.floats(2.0, 6.0))
+def test_step_matrices_match_scalar_reference(gaussian, v, radius, width_frac, window):
+    pot = (PotentialSpec(kind="gaussian_truncated", v=v, radius=radius,
+                         width=width_frac * radius) if gaussian else
+           PotentialSpec(kind="square_well", v=v, radius=radius))
+    sol = solve_scattering(pot, r_max=window * radius, n_grid=4096)
+    ref = solve_reference(pot, r_max=window * radius, n_grid=4096)
+    assert np.array_equal(sol.r, ref.r)
+    assert np.max(np.abs(sol.u - ref.u)) <= 1e-12 * np.max(np.abs(ref.u))
+    assert sol.a_paper == pytest.approx(ref.a_paper, rel=1e-11)
+    assert sol.residual <= 1e-10
+    if not gaussian:
+        # a_std = R - u(R)/u'(R) cancels down to about R (kappa R)^2 / 3, so
+        # besides rel 1e-10 the check allows that subtraction's rounding
+        # floor, 2^7 ulps of R; it dominates only for (kappa R)^2 < 1e-3
+        exact = square_well_closed_form(v, radius)
+        assert abs(sol.a_std - exact) <= 1e-10 * exact + 2.0**-45 * radius
 
 
 def test_volume_integral_is_8pi_times_asymptote():
@@ -74,7 +101,7 @@ def test_zero_and_direct_potentials():
     zero = PotentialSpec(kind="zero")
     assert scattering_length(zero) == 0.0
     sol = solve_scattering(zero, r_max=1.0, n_grid=256)
-    assert abs(sol.a_std) < 1e-14  # polyfit roundoff on u = r
+    assert sol.a_std == 0.0  # the edge state of u = r is (0, 1)
     assert sol.a_paper == 0.0
 
     direct = PotentialSpec(kind="direct", a=0.37)

@@ -38,29 +38,31 @@ def two_pair_kernel():
 def test_trivial_below_mean():
     k = two_pair_kernel()
     mu = depletion_mean(k)
+    var = depletion_variance(k)
     for n in (0.0, 0.5 * mu, mu):
-        for fn in (chernoff_bound, quadratic_bound):
-            b = fn(k, n)
+        for b in (chernoff_bound(k, n, mu), quadratic_bound(k, n, mu, var)):
             assert b.bound == 1.0 and b.exponent == 0.0
             assert "trivial" in b.note
 
 
 def test_vanishing_angles():
     k0 = kernel_from_nu(LAT, [0.0] * 4)
-    b = chernoff_bound(k0, 1.0)
+    mu, var = depletion_mean(k0), depletion_variance(k0)
+    b = chernoff_bound(k0, 1.0, mu)
     assert b.bound == 0.0 and math.isinf(b.exponent)
     assert "vanish" in b.note
-    assert chernoff_bound(k0, 0.0).bound == 1.0
-    q = quadratic_bound(k0, 1.0)
+    assert chernoff_bound(k0, 0.0, mu).bound == 1.0
+    q = quadratic_bound(k0, 1.0, mu, var)
     assert q.bound == 0.0 and "zero variance" in q.note
     with pytest.raises(ValueError):
-        nonconcentration_witness(k0, 1.0)
+        nonconcentration_witness(var, 1.0)
 
 
 def test_chernoff_exponent_against_grid():
     k = two_pair_kernel()
-    n = depletion_mean(k) + 2.0 * math.sqrt(depletion_variance(k))
-    b = chernoff_bound(k, n)
+    mu = depletion_mean(k)
+    n = mu + 2.0 * math.sqrt(depletion_variance(k))
+    b = chernoff_bound(k, n, mu)
     grid = np.linspace(1e-12, k.lambda0 - 1e-12, 40001)
     vals = grid * n - np.array([log_mgf_closed(k, float(x)) for x in grid])
     assert b.exponent == pytest.approx(float(vals.max()), abs=1e-8)
@@ -84,8 +86,9 @@ def test_engine_derivatives_and_chernoff_slope(nu_a, nu_b, u, j):
     assert d2 == pytest.approx(
         (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h), rel=1e-6)
 
-    n = depletion_mean(k) + j * math.sqrt(depletion_variance(k))
-    b = chernoff_bound(k, n)
+    mu = depletion_mean(k)
+    n = mu + j * math.sqrt(depletion_variance(k))
+    b = chernoff_bound(k, n, mu)
     assert 0.0 < b.lambda_star < k.lambda0
     assert abs(log_mgf_derivatives(k, b.lambda_star, 1)[1] - n) <= 1e-10 * n
 
@@ -95,7 +98,7 @@ def test_chernoff_unreachable_threshold_raises():
     # reported, not searched for forever
     k = two_pair_kernel()
     with pytest.raises(ArithmeticError):
-        chernoff_bound(k, 1e300)
+        chernoff_bound(k, 1e300, depletion_mean(k))
 
 
 def test_quadratic_bound_formulas():
@@ -103,13 +106,13 @@ def test_quadratic_bound_formulas():
     mu, var = depletion_mean(k), depletion_variance(k)
     # interior optimum: lambda* = (n - mu)/var below lambda0
     n_in = mu + 0.25 * var * k.lambda0
-    b = quadratic_bound(k, n_in)
+    b = quadratic_bound(k, n_in, mu, var)
     assert b.note == ""
     assert b.lambda_star == pytest.approx((n_in - mu) / var, rel=1e-15)
     assert b.exponent == pytest.approx((n_in - mu) ** 2 / (2 * var), rel=1e-15)
     # clipped branch
     n_out = mu + 3.0 * var * k.lambda0
-    c = quadratic_bound(k, n_out)
+    c = quadratic_bound(k, n_out, mu, var)
     assert c.note == "optimum clipped to lambda0"
     assert c.lambda_star == k.lambda0
     assert c.exponent == pytest.approx(
@@ -121,10 +124,11 @@ def test_quadratic_never_beats_chernoff_here():
     # model UNDERestimates Lambda and its "bound" is the optimistic one;
     # the direction is documented, not the reverse
     k = two_pair_kernel()
-    mu, sig = depletion_mean(k), math.sqrt(depletion_variance(k))
+    mu, var = depletion_mean(k), depletion_variance(k)
     for j in (0.5, 1.0, 2.0, 4.0):
-        n = mu + j * sig
-        assert quadratic_bound(k, n).bound <= chernoff_bound(k, n).bound + 1e-15
+        n = mu + j * math.sqrt(var)
+        assert (quadratic_bound(k, n, mu, var).bound
+                <= chernoff_bound(k, n, mu).bound + 1e-15)
 
 
 def test_chernoff_bound_is_valid_against_exact_law():
@@ -133,14 +137,14 @@ def test_chernoff_bound_is_valid_against_exact_law():
     vals, probs = depletion_distribution([NU, NU], j_cap=400)
     for n in np.linspace(mu + 0.3, mu + 9.0, 15):
         tail = float(probs[vals >= n].sum())
-        assert chernoff_bound(k, float(n)).bound >= tail
+        assert chernoff_bound(k, float(n), mu).bound >= tail
 
 
 def test_witness_formulas_and_bounds():
     k = two_pair_kernel()
     e4 = cumulants(k, 4).central[4]
-    w = nonconcentration_witness(k, e4)
     var = depletion_variance(k)
+    w = nonconcentration_witness(var, e4)
     assert w.n == pytest.approx(0.5 * math.sqrt(var), rel=1e-15)
     assert (w.n + w.m) ** 2 == pytest.approx(4.0 * e4 / var, rel=1e-14)
     assert w.epsilon == pytest.approx(var**2 / (8.0 * e4), rel=1e-15)
@@ -155,8 +159,9 @@ def test_witness_synthetic_arithmetic():
     lat = lattice_from_vectors([(1, 0, 0)])
     s2 = (math.sqrt(5.0) - 1.0) / 2.0
     k = kernel_from_nu(lat, [-math.asinh(math.sqrt(s2))] * 2)
-    assert depletion_variance(k) == pytest.approx(4.0, rel=1e-12)
-    w = nonconcentration_witness(k, 48.0)
+    var = depletion_variance(k)
+    assert var == pytest.approx(4.0, rel=1e-12)
+    w = nonconcentration_witness(var, 48.0)
     assert w.n == pytest.approx(1.0, rel=1e-12)
     assert (w.n + w.m) ** 2 == pytest.approx(48.0, rel=1e-12)
     assert w.epsilon == pytest.approx(1.0 / 24.0, rel=1e-12)
@@ -166,7 +171,7 @@ def test_witness_certified_against_exact_law():
     # P[|N - mu| > n] >= epsilon for the true distribution
     k = two_pair_kernel()
     mu = depletion_mean(k)
-    w = nonconcentration_witness(k, cumulants(k, 4).central[4])
+    w = nonconcentration_witness(depletion_variance(k), cumulants(k, 4).central[4])
     vals, probs = depletion_distribution([NU, NU], j_cap=400)
     p = float(probs[np.abs(vals - mu) > w.n].sum())
     assert p >= w.epsilon
@@ -176,4 +181,4 @@ def test_witness_rejects_impossible_moments():
     k = two_pair_kernel()
     var = depletion_variance(k)
     with pytest.raises(ValueError):
-        nonconcentration_witness(k, 0.5 * var * var)
+        nonconcentration_witness(var, 0.5 * var * var)
