@@ -27,8 +27,8 @@ from .genfun import (QuadratureSpec, cumulants,
                      fourth_central_printed_combination, log_mgf_closed,
                      log_mgf_grid)
 from .lattice import build_lattice, lattice_from_vectors
-from .observable import (certified_domain, log_mgf_diagonal_sequence,
-                         log_mgf_general, observable_from_csv,
+from .observable import (_log_mgf_general_in, certified_domain,
+                         log_mgf_diagonal_sequence, observable_from_csv,
                          observable_mean, observable_random, solve_F)
 from .scattering import PotentialSpec, scattering_length, solve_scattering
 from .spectrum import SpectrumKernel, build_kernel, depletion_mean
@@ -315,7 +315,7 @@ def cmd_moments(cfg: RunConfig) -> int:
     cum = cumulants(k, 4)
     mu, var = cum.kappa[1], cum.kappa[2]
     c3, c4 = cum.central[3], cum.central[4]
-    printed = fourth_central_printed_combination(k)
+    printed = fourth_central_printed_combination(k, var)
     row = [mu, var, c3, c4, printed, abs(c4 - printed),
            "yes" if abs(c4 - printed) > 1e-10 * max(1.0, abs(c4)) else "no"]
     _emit(cfg, "moments",
@@ -400,7 +400,7 @@ def cmd_observable(cfg: RunConfig) -> int:
     limit = min(dom, work_k.lambda0) * (1.0 - 1e-9)
     lams = _lambda_grid(cfg, limit, warnings)
     mu_o = observable_mean(work_k, obs)
-    vals = log_mgf_general(work_k, obs, lams, cfg.quadrature)
+    vals = _log_mgf_general_in(work_k, obs, lams, cfg.quadrature, dom)
     for lam, val in zip(lams, vals):
         if lam != 0.0:
             sol = solve_F(work_k, obs, float(lam))

@@ -8,9 +8,11 @@ is validated against these numbers.
 The Bogoliubov generator is K = sum_pairs nu * (a*_p a*_{-p} - a_p a_{-p}),
 the (anti-Hermitian) form whose conjugation action is
 e^{-K} a_p e^{K} = cosh(nu) a_p + sinh(nu) a*_{-p}.  Operators are stored
-sparse and exponentials are applied Krylov-style to vectors; small spaces
-fall back to dense eigendecompositions.  Truncation error is always
-estimated and reported, never silently ignored.
+sparse and exponentials are applied Krylov-style to vectors.  The two
+operator identities need whole exponentials; dGamma(O) conserves the total
+number and K each pair's n_{+p} - n_{-p}, so those are taken one charge
+sector at a time.  Truncation error is always estimated and reported,
+never silently ignored.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ class FockOperator:
 
     matrix: sp.csr_matrix
     label: str
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,6 @@ def second_quantized(space: FockSpace, o_small: np.ndarray) -> sp.csr_matrix:
     return total.tocsr()
 
 
-def number_operator(space: FockSpace) -> sp.csr_matrix:
-    return sp.diags(space.occupations.sum(axis=1).astype(float)).tocsr().astype(complex)
-
-
 def build_bogoliubov_generator(space: FockSpace, nu_by_pair) -> FockOperator:
     """K = sum_i nu_i (a*_{2i} a*_{2i+1} - a_{2i} a_{2i+1})."""
     nu_by_pair = np.asarray(nu_by_pair, dtype=float)
@@ -178,43 +173,48 @@ def mgf_oracle(space: FockSpace, nu_by_pair, o_small, lam: float,
     return OracleValue(value=float(np.vdot(w, w).real), truncation_estimate=est)
 
 
-def pair_amplitudes(space: FockSpace, nu_by_pair, o_small, lam: float):
-    """The scalar G = <vac, M vac> and matrix F[p,q] = <vac, a_{-p} a_q M vac>
-    for M = e^{-K} e^{lam dGamma(O)} e^{K}, indexed by modes (-p is p's partner).
+def _expm_pair_by_sector(x: sp.spmatrix, charge) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(e^x, e^-x) for an x that conserves `charge` (one row of integers per
+    basis state), with one dense expm per charge sector and sign.
+
+    Raises ArithmeticError if x has a nonzero entry between two sectors, so
+    the block structure is checked, not assumed.
     """
-    o_small = np.asarray(o_small, dtype=complex)
-    k = build_bogoliubov_generator(space, nu_by_pair).matrix
-    dg = second_quantized(space, o_small)
-    y = expm_multiply(k, space.vacuum())
-    y = expm_multiply(lam * dg, y)
-    y = expm_multiply(-k, y)
-    g = complex(y[0])
-    ann = [op_annihilate(space, m).matrix for m in range(space.modes)]
-    f = np.empty((space.modes, space.modes), dtype=complex)
-    for q in range(space.modes):
-        aq_y = ann[q] @ y
-        for p in range(space.modes):
-            f[p, q] = (ann[p ^ 1] @ aq_y)[0]
-    return f, g
+    charge = np.asarray(charge).reshape(x.shape[0], -1)
+    label = np.unique(charge, axis=0, return_inverse=True)[1].reshape(-1)
+    coo = x.tocoo()
+    if np.any((coo.data != 0) & (label[coo.row] != label[coo.col])):
+        raise ArithmeticError("operator couples two conserved-charge sectors")
+    x = x.tocsr()
+    sectors = np.split(np.argsort(label, kind="stable"),
+                       np.cumsum(np.bincount(label))[:-1])
+    rows = np.concatenate([np.repeat(idx, idx.size) for idx in sectors])
+    cols = np.concatenate([np.tile(idx, idx.size) for idx in sectors])
+    blocks = [x[idx][:, idx].toarray() for idx in sectors]
+
+    def assemble(sign: float) -> sp.csr_matrix:
+        vals = np.concatenate([scipy.linalg.expm(sign * b).ravel() for b in blocks])
+        return sp.csr_matrix((vals, (rows, cols)), shape=x.shape)
+
+    return assemble(1.0), assemble(-1.0)
 
 
 def bch_check(space: FockSpace, o_small, mode: int) -> float:
     """Defect of e^{dGamma(O)} a*_mode e^{-dGamma(O)} = a*((e^O)_{., mode}).
 
     Measured as a spectral norm restricted to occupation <= n_max - 2,
-    where the truncated ladder algebra is exact.
+    where the truncated ladder algebra is exact.  dGamma(O) conserves the
+    total number, so both exponentials are taken sector by sector.
     """
     o_small = np.asarray(o_small, dtype=complex)
-    dg = second_quantized(space, o_small).toarray()
-    w, u = scipy.linalg.eigh(dg)
-    e_plus = (u * np.exp(w)) @ u.conj().T
-    e_minus = (u * np.exp(-w)) @ u.conj().T
-    cre = [op_create(space, m).matrix.toarray() for m in range(space.modes)]
-    lhs = e_plus @ cre[mode] @ e_minus
-    col = scipy.linalg.expm(np.asarray(o_small))[:, mode]
-    rhs = sum(col[a] * cre[a] for a in range(space.modes))
-    keep = space.occupations.sum(axis=1) <= space.n_max - 2
-    return float(np.linalg.norm((lhs - rhs)[:, keep], 2))
+    total = space.occupations.sum(axis=1)
+    e_plus, e_minus = _expm_pair_by_sector(second_quantized(space, o_small), total)
+    keep = total <= space.n_max - 2
+    cre = [op_create(space, m).matrix for m in range(space.modes)]
+    lhs = e_plus @ (cre[mode] @ e_minus[:, keep])
+    col = scipy.linalg.expm(o_small)[:, mode]
+    rhs = sum(col[a] * cre[a][:, keep] for a in range(space.modes))
+    return float(np.linalg.norm((lhs - rhs).toarray(), 2))
 
 
 def bogoliubov_action_defect(space: FockSpace, nu_by_pair, mode: int,
@@ -222,40 +222,19 @@ def bogoliubov_action_defect(space: FockSpace, nu_by_pair, mode: int,
     """Defect of e^{-K} a_mode e^{K} = cosh(nu) a_mode + sinh(nu) a*_{partner},
     as a spectral norm restricted to total occupation <= max_total_occ
     (default n_max // 2).  Decays to zero as n_max grows at fixed nu.
+    K conserves each pair's n_{+p} - n_{-p}, so e^{+-K} are taken sector
+    by sector.
     """
     if max_total_occ is None:
         max_total_occ = space.n_max // 2
     nu_by_pair = np.asarray(nu_by_pair, dtype=float)
-    k = build_bogoliubov_generator(space, nu_by_pair).matrix.toarray()
-    ek = scipy.linalg.expm(k)
-    emk = scipy.linalg.expm(-k)
-    a = op_annihilate(space, mode).matrix.toarray()
-    adag_partner = op_create(space, mode ^ 1).matrix.toarray()
+    occ = space.occupations
+    k = build_bogoliubov_generator(space, nu_by_pair).matrix.real
+    ek, emk = _expm_pair_by_sector(k, occ[:, 0::2] - occ[:, 1::2])
+    keep = occ.sum(axis=1) <= max_total_occ
+    a = op_annihilate(space, mode).matrix.real
+    adag_partner = op_create(space, mode ^ 1).matrix.real
     nu = nu_by_pair[mode // 2]
-    lhs = emk @ a @ ek
-    rhs = math.cosh(nu) * a + math.sinh(nu) * adag_partner
-    keep = space.occupations.sum(axis=1) <= max_total_occ
-    return float(np.linalg.norm((lhs - rhs)[:, keep], 2))
-
-
-def depletion_distribution(nu_by_pair, j_cap: int = 400):
-    """Exact law of the depletion number for independent mode pairs.
-
-    Each pair contributes 2j quanta with probability (1-q) q^j, q = tanh^2(nu).
-    Returns (values, probabilities) for the convolution over pairs, truncated
-    at j_cap quanta per pair (tail mass q^{j_cap+1} is folded nowhere and
-    reported implicitly through probabilities summing to < 1).
-    """
-    dist = {0: 1.0}
-    for nu in np.asarray(nu_by_pair, dtype=float):
-        q = math.tanh(nu) ** 2
-        pair_probs = [(1.0 - q) * q ** j for j in range(j_cap + 1)]
-        new: dict[int, float] = {}
-        for n, pr in dist.items():
-            for j, pj in enumerate(pair_probs):
-                key = n + 2 * j
-                new[key] = new.get(key, 0.0) + pr * pj
-        dist = new
-    values = np.array(sorted(dist), dtype=np.int64)
-    probs = np.array([dist[v] for v in values])
-    return values, probs
+    lhs = emk @ (a @ ek[:, keep])
+    rhs = math.cosh(nu) * a[:, keep] + math.sinh(nu) * adag_partner[:, keep]
+    return float(np.linalg.norm((lhs - rhs).toarray(), 2))

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.integrate
 
 from .spectrum import (SpectrumKernel, _check_domain, depletion_mean,
-                       depletion_variance, log_mgf_derivatives)
+                       log_mgf_derivatives)
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,9 @@ def mgf_derivative_check(k: SpectrumKernel, lam: float, j: int) -> float:
     return (f(lam + 2 * h) - 4 * f(lam + h) + 6 * f(lam) - 4 * f(lam - h) + f(lam - 2 * h)) / h ** 4
 
 
-def fourth_central_printed_combination(k: SpectrumKernel) -> float:
+def fourth_central_printed_combination(k: SpectrumKernel, sig2: float) -> float:
     """The alternative printed fourth-moment combination 12 sigma^4 + 8 sigma^2
-    + 48 sum c^4 s^4, reported for comparison and never asserted."""
-    sig2 = depletion_variance(k)
+    + 48 sum c^4 s^4, reported for comparison and never asserted; sig2 is
+    the caller's sigma^2 (cumulants(k, .).kappa[2])."""
     quart = math.fsum(((k.c * k.s) ** 4).tolist())
     return 12.0 * sig2 ** 2 + 8.0 * sig2 + 48.0 * quart

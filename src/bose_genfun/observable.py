@@ -340,8 +340,13 @@ def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lams,
     The certified domain is computed once for the grid; every lambda is
     integrated from 0 on its own, so a value does not depend on the grid.
     """
+    return _log_mgf_general_in(k, obs, lams, quad, certified_domain(k, obs))
+
+
+def _log_mgf_general_in(k: SpectrumKernel, obs: ObservableKernel, lams,
+                        quad: QuadratureSpec | None, dom: float) -> np.ndarray:
+    """log_mgf_general for a caller that already holds certified_domain(k, obs)."""
     lams = [float(lam) for lam in np.atleast_1d(lams)]
-    dom = certified_domain(k, obs)
     for lam in lams:
         if not abs(lam) < dom:
             raise ValueError(f"lambda {lam} outside certified contraction domain "

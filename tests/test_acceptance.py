@@ -18,7 +18,6 @@ from bose_genfun.fockoracle import (
     bch_check,
     bogoliubov_action_defect,
     build_space,
-    depletion_distribution,
     mgf_oracle,
 )
 from bose_genfun.genfun import (
@@ -44,6 +43,7 @@ from bose_genfun.spectrum import (
     kernel_from_nu,
 )
 from bose_genfun.tails import chernoff_bound, nonconcentration_witness, quadratic_bound
+from fock_reference import depletion_distribution
 from kernel_reference import log_mgf_dense
 
 DESK = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
@@ -106,7 +106,7 @@ def test_criterion_3_cumulants_vs_exact_law():
     vals, probs = depletion_distribution([-0.55, -0.55], j_cap=40)
     e4 = float(np.sum(probs * (vals - mu) ** 4))
     ok_e4 = abs(cs.central[4] - e4) <= 1e-8 * max(1.0, abs(e4))
-    printed = fourth_central_printed_combination(k)
+    printed = fourth_central_printed_combination(k, cs.kappa[2])
     ok = ok_mean and ok_var and ok_e4
     line = _report(3, ok, f"kappa1 = {mu:.12g}, kappa2 = {var:.12g}, "
                           f"central4 = {cs.central[4]:.12g} vs exact law "

@@ -236,6 +236,20 @@ def test_oracle_pass_and_breach(tmp_path):
     assert any(r["status"] == "FAIL" for r in rows)
 
 
+def test_oracle_deep_one_pair_space_passes(tmp_path):
+    # README square well, one pair at n_max = 30, seed 0: a dense
+    # eigendecomposition of dGamma(O) leaked about 4e-8 between number
+    # sectors here and breached the 1e-8 tolerance; the exact defect is zero
+    body = {"potential": {"kind": "square_well", "v": 1.0, "radius": 0.1},
+            "cutoff_m": 10, "oracle": {"pairs": 1, "n_max": 30}}
+    code, text = run(tmp_path, "oracle", body, seed=0)
+    assert code == 0
+    _, _, rows = parse_csv(text)
+    assert all(r["status"] == "pass" for r in rows)
+    (bch,) = [r for r in rows if r["check"] == "bch_defect"]
+    assert float(bch["value"]) <= 1e-10
+
+
 def test_config_error_paths(tmp_path):
     out = tmp_path / "x.txt"
     assert main(["genfun", "--config", str(tmp_path / "nope.json"),

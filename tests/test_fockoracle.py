@@ -9,22 +9,29 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from bose_genfun.fockoracle import (
     DIM_CAP,
+    _expm_pair_by_sector,
     bch_check,
     bogoliubov_action_defect,
     build_bogoliubov_generator,
     build_space,
-    depletion_distribution,
     mgf_oracle,
-    number_operator,
     op_annihilate,
     op_create,
-    pair_amplitudes,
     second_quantized,
     squeezed_vacuum,
+)
+from fock_reference import (
+    bch_check_dense,
+    bogoliubov_action_defect_dense,
+    depletion_distribution,
+    number_operator,
+    pair_amplitudes,
 )
 
 
@@ -164,6 +171,43 @@ def test_bogoliubov_action_defect_decay():
     # stronger squeezing at fixed truncation: defect grows
     d_big = bogoliubov_action_defect(space, [0.2], mode=0, max_total_occ=10)
     assert d_big > d
+
+
+# Two pairs stop at n_max = 4: the dense references hold several dim x dim
+# complex matrices, and one two-pair call takes about 0.5 s at n_max = 4 and
+# several seconds at n_max = 5 (dim 1296).
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), pairs=st.sampled_from([1, 2]))
+def test_sector_blocked_diagnostics_match_dense(data, pairs):
+    n_max = data.draw(st.integers(4, 20) if pairs == 1 else st.just(4))
+    nu = data.draw(st.lists(st.floats(-0.3, 0.0), min_size=pairs, max_size=pairs))
+    mode = data.draw(st.integers(0, 2 * pairs - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    space = build_space(pairs, n_max)
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((space.modes,) * 2) + 1j * rng.standard_normal((space.modes,) * 2)
+    h = 0.5 * (h + h.conj().T)  # couples every mode
+    h *= 0.25 / np.linalg.norm(h, 2)
+    dense = bogoliubov_action_defect_dense(space, nu, mode)
+    assert abs(bogoliubov_action_defect(space, nu, mode) - dense) <= 1e-12 + 1e-10 * dense
+    # the exact defect is zero: both values are rounding, and the dense
+    # eigendecomposition leaks between number sectors where blocks cannot
+    dense = bch_check_dense(space, h, mode)
+    assert bch_check(space, h, mode) <= dense + 1e-12 + 1e-10 * dense
+
+
+def test_sector_blocking_is_checked():
+    space = build_space(1, 6)
+    total = space.occupations.sum(axis=1)
+    k = build_bogoliubov_generator(space, [-0.2]).matrix
+    # K changes the total number by two: it couples number sectors
+    with pytest.raises(ArithmeticError, match="couples"):
+        _expm_pair_by_sector(k, total)
+    # dGamma(O) conserves it: the blocks reproduce the full exponential
+    dg = second_quantized(space, np.array([[0.1, 0.2j], [-0.2j, -0.3]]))
+    e_plus, e_minus = _expm_pair_by_sector(dg, total)
+    assert np.max(np.abs(e_plus.toarray() - scipy.linalg.expm(dg.toarray()))) < 1e-13
+    assert np.max(np.abs((e_plus @ e_minus).toarray() - np.eye(space.dim))) < 1e-13
 
 
 def test_depletion_distribution_geometric_law():

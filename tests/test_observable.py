@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import bose_genfun.observable as observable_mod
-from bose_genfun.fockoracle import build_space, mgf_oracle, pair_amplitudes
+from bose_genfun.fockoracle import build_space, mgf_oracle
 from bose_genfun.genfun import QuadratureSpec, log_mgf_closed
 from bose_genfun.lattice import lattice_from_vectors
 from bose_genfun.observable import (
@@ -34,6 +34,7 @@ from bose_genfun.observable import (
 )
 from bose_genfun.observable import _Factors, _residuals
 from bose_genfun.spectrum import build_kernel, depletion_mean, kernel_from_nu
+from fock_reference import pair_amplitudes
 from kernel_reference import (
     apply_D_paper,
     apply_D_raw,

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bose_genfun.fockoracle import depletion_distribution
 from bose_genfun.genfun import cumulants, log_mgf_closed
 from bose_genfun.lattice import lattice_from_vectors
 from bose_genfun.spectrum import (
@@ -26,6 +25,7 @@ from bose_genfun.tails import (
     nonconcentration_witness,
     quadratic_bound,
 )
+from fock_reference import depletion_distribution
 
 NU = -0.55
 LAT = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
