@@ -28,8 +28,8 @@ from .genfun import (QuadratureSpec, cumulants,
                      log_mgf_grid)
 from .lattice import build_lattice, lattice_from_vectors
 from .observable import (_log_mgf_general_in, certified_domain,
-                         log_mgf_diagonal_sequence, observable_from_csv,
-                         observable_mean, observable_random, solve_F)
+                         observable_from_csv, observable_mean,
+                         observable_random, solve_F)
 from .scattering import PotentialSpec, scattering_length, solve_scattering
 from .spectrum import SpectrumKernel, build_kernel, depletion_mean
 
@@ -123,10 +123,11 @@ def _parse_potential(raw) -> PotentialSpec:
         raise ConfigError(f"bad potential parameters: {exc}") from exc
 
 
-def parse_config(path: str, seed_override: int | None = None,
-                 out_override: str | None = None) -> RunConfig:
+def parse_config(args: argparse.Namespace) -> RunConfig:
+    """The config file args.config, with the command-line overrides
+    --seed, --out and (tails only) --n-list applied."""
     try:
-        with open(path, "rb") as fh:
+        with open(args.config, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -181,18 +182,23 @@ def parse_config(path: str, seed_override: int | None = None,
     if fmt not in ("csv", "json"):
         raise ConfigError("output.format must be csv or json")
     out_path = _path(out.get("path"), "output.path")
-    if out_override is not None:
-        out_path = out_override
+    if args.out is not None:
+        out_path = args.out
 
     n_list = raw.get("n_list")
+    if getattr(args, "n_list", None) is not None:
+        try:
+            n_list = [float(x) for x in args.n_list.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--n-list must be comma-separated numbers: {exc}") from exc
     if n_list is not None:
         if not isinstance(n_list, list):
             raise ConfigError("n_list must be a list of numbers")
         n_list = [_float(x, "n_list entry") for x in n_list]
 
     seed = _int(raw.get("seed", 0), "seed")
-    if seed_override is not None:
-        seed = seed_override
+    if args.seed is not None:
+        seed = args.seed
     return RunConfig(potential=potential, convention=convention, cutoff_m=cutoff_m,
                      lambda_min=lmin, lambda_max=lmax, lambda_count=count,
                      quadrature=quad, observable=obs, oracle=oracle,
@@ -214,9 +220,10 @@ def _desk_kernel(pairs: int, a16pi: float) -> SpectrumKernel:
 
 
 def _lambda_grid(cfg: RunConfig, limit: float, warnings: list) -> np.ndarray:
+    """The config grid, clipped to |lambda| < limit less a 1e-9 relative
+    margin (an infinite limit keeps every point)."""
     lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
-    if not math.isfinite(limit):
-        return lams
+    limit *= 1.0 - 1e-9
     keep = np.abs(lams) < limit
     if not np.all(keep):
         warnings.append(f"lambda grid clipped to (+-{limit:.9g}): "
@@ -294,16 +301,18 @@ def cmd_scattering(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _scalar_grid(cfg: RunConfig, k: SpectrumKernel, warnings: list) -> list:
+    """(lambda, quadrature Lambda, closed-form Lambda) on the clipped grid."""
+    lams = _lambda_grid(cfg, k.lambda0, warnings)
+    return [(float(lam), float(qv), log_mgf_closed(k, float(lam)))
+            for lam, qv in zip(lams, log_mgf_grid(k, lams, cfg.quadrature))]
+
+
 def cmd_genfun(cfg: RunConfig) -> int:
     warnings: list = []
     k = _cube_kernel(cfg)
-    lams = _lambda_grid(cfg, k.lambda0 * (1.0 - 1e-9) if math.isfinite(k.lambda0)
-                        else math.inf, warnings)
-    quad_vals = log_mgf_grid(k, lams, cfg.quadrature)
-    rows = []
-    for lam, qv in zip(lams, quad_vals):
-        cv = log_mgf_closed(k, float(lam))
-        rows.append([float(lam), float(qv), cv, abs(float(qv) - cv), math.exp(cv)])
+    rows = [[lam, qv, cv, abs(qv - cv), math.exp(cv)]
+            for lam, qv, cv in _scalar_grid(cfg, k, warnings)]
     _emit(cfg, "genfun",
           ["lambda", "log_mgf_quadrature", "log_mgf_closed", "abs_diff", "mgf"],
           rows, {"lambda0": k.lambda0, "a16pi": k.a16pi}, warnings)
@@ -326,13 +335,13 @@ def cmd_moments(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_tails(cfg: RunConfig, n_list=None) -> int:
+def cmd_tails(cfg: RunConfig) -> int:
     warnings: list = []
     k = _cube_kernel(cfg)
     cum = cumulants(k, 4)  # mu, sigma^2 and the witness's E4 in one engine call
     mu, var = float(cum.kappa[1]), float(cum.kappa[2])
     sigma = math.sqrt(var)
-    ns = n_list if n_list is not None else cfg.n_list
+    ns = cfg.n_list
     if ns is None:
         ns = [mu + j * sigma for j in range(4)]
     columns = ["bound_type", "n", "lambda_star", "exponent", "bound",
@@ -366,18 +375,15 @@ def cmd_observable(cfg: RunConfig) -> int:
         raise ConfigError("the observable command needs observable.kind != none")
 
     if kind == "identity":
-        # Full-lattice route: identity weights reduce to the diagonal
-        # sequence, checked against the closed form per grid point.
+        # O = 1 on the full lattice: Lambda_O is genfun's scalar Lambda, by
+        # quadrature, checked against the closed form at every grid point
         k = _cube_kernel(cfg)
-        limit = k.lambda0 * (1.0 - 1e-9) if math.isfinite(k.lambda0) else math.inf
-        lams = _lambda_grid(cfg, limit, warnings)
-        tau = np.ones(k.size)
         mu_o = depletion_mean(k)
-        for lam in lams:
-            val = log_mgf_diagonal_sequence(k, tau, float(lam), cfg.quadrature)
-            closed = log_mgf_closed(k, float(lam))
-            rows.append([float(lam), val, mu_o, k.lambda0,
-                         abs(val - closed), 0.0, 0.0])
+        for lam, qv, cv in _scalar_grid(cfg, k, warnings):
+            if abs(qv - cv) > 1e-8 * max(1.0, abs(cv)):
+                raise ArithmeticError(f"quadrature disagrees with the closed "
+                                      f"form at lambda={lam:.9g}")
+            rows.append([lam, qv, mu_o, k.lambda0, abs(qv - cv), 0.0, 0.0])
         _emit(cfg, "observable", columns, rows,
               {"lambda0": k.lambda0, "a16pi": k.a16pi, "observable": "identity"},
               warnings)
@@ -397,8 +403,7 @@ def cmd_observable(cfg: RunConfig) -> int:
         obs = observable_from_csv(work_k.lattice, cfg.observable["path"])
 
     dom = certified_domain(work_k, obs)
-    limit = min(dom, work_k.lambda0) * (1.0 - 1e-9)
-    lams = _lambda_grid(cfg, limit, warnings)
+    lams = _lambda_grid(cfg, min(dom, work_k.lambda0), warnings)
     mu_o = observable_mean(work_k, obs)
     vals = _log_mgf_general_in(work_k, obs, lams, cfg.quadrature, dom)
     for lam, val in zip(lams, vals):
@@ -443,17 +448,19 @@ def cmd_oracle(cfg: RunConfig) -> int:
         rows.append([check, value, tol, "pass" if ok else "FAIL", detail])
 
     try:
-        mg1 = mgf_oracle(space1, nu1, np.eye(2), lam)
+        # a one-pair request is itself the one-pair MGF space: one MGF check
+        mg1 = mgf_oracle(space if pairs == 1 else space1, nu1, np.eye(2), lam)
         closed1 = log_mgf_closed(dk1, lam)
         record("mgf_1pair_vs_closed", abs(math.log(mg1.value) - closed1),
                max(1e-10, 10.0 * mg1.truncation_estimate),
                f"lambda={lam:.6g}")
         record("mgf_1pair_truncation", mg1.truncation_estimate, 1e-6)
 
-        mg = mgf_oracle(space, nu_by_pair, np.eye(2 * pairs), lam)
-        closed = log_mgf_closed(dk, lam)
-        record(f"mgf_{pairs}pair_vs_closed", abs(math.log(mg.value) - closed),
-               max(1e-8, 10.0 * mg.truncation_estimate), f"lambda={lam:.6g}")
+        if pairs == 2:
+            mg = mgf_oracle(space, nu_by_pair, np.eye(4), lam)
+            closed = log_mgf_closed(dk, lam)
+            record("mgf_2pair_vs_closed", abs(math.log(mg.value) - closed),
+                   max(1e-8, 10.0 * mg.truncation_estimate), f"lambda={lam:.6g}")
 
         rng = np.random.default_rng(cfg.seed)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -506,12 +513,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = parse_config(args.config, seed_override=args.seed,
-                           out_override=args.out)
-        if args.command == "tails" and getattr(args, "n_list", None):
-            ns = [float(x) for x in args.n_list.split(",")]
-            return cmd_tails(cfg, n_list=ns)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](parse_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

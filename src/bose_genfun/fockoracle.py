@@ -55,14 +55,6 @@ class FockSpace:
         return v
 
 
-@dataclass(frozen=True, eq=False)
-class FockOperator:
-    """A labelled operator matrix on the occupation basis (stored sparse)."""
-
-    matrix: sp.csr_matrix
-    label: str
-
-
 @dataclass(frozen=True)
 class OracleValue:
     """An oracle number together with its truncation-error estimate."""
@@ -90,21 +82,19 @@ def _strides(space: FockSpace) -> np.ndarray:
                      for m in range(space.modes)], dtype=np.intp)
 
 
-def op_annihilate(space: FockSpace, mode: int) -> FockOperator:
-    """Matrix of a_mode: <n-1|a|n> = sqrt(n) on the mode's ladder."""
+def op_annihilate(space: FockSpace, mode: int) -> sp.csr_matrix:
+    """Sparse matrix of a_mode: <n-1|a|n> = sqrt(n) on the mode's ladder."""
     if not 0 <= mode < space.modes:
         raise ValueError("invalid mode")
     occ = space.occupations[:, mode]
     src = np.nonzero(occ > 0)[0]
     dst = src - _strides(space)[mode]
     amp = np.sqrt(occ[src].astype(float))
-    m = sp.csr_matrix((amp, (dst, src)), shape=(space.dim, space.dim), dtype=complex)
-    return FockOperator(matrix=m, label=f"a[{mode}]")
+    return sp.csr_matrix((amp, (dst, src)), shape=(space.dim, space.dim), dtype=complex)
 
 
-def op_create(space: FockSpace, mode: int) -> FockOperator:
-    a = op_annihilate(space, mode)
-    return FockOperator(matrix=a.matrix.conj().T.tocsr(), label=f"a*[{mode}]")
+def op_create(space: FockSpace, mode: int) -> sp.csr_matrix:
+    return op_annihilate(space, mode).conj().T.tocsr()
 
 
 def second_quantized(space: FockSpace, o_small: np.ndarray) -> sp.csr_matrix:
@@ -112,7 +102,7 @@ def second_quantized(space: FockSpace, o_small: np.ndarray) -> sp.csr_matrix:
     o_small = np.asarray(o_small, dtype=complex)
     if o_small.shape != (space.modes, space.modes):
         raise ValueError("one-body matrix must be modes x modes")
-    ann = [op_annihilate(space, m).matrix for m in range(space.modes)]
+    ann = [op_annihilate(space, m) for m in range(space.modes)]
     total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for a in range(space.modes):
         row = sp.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -124,7 +114,7 @@ def second_quantized(space: FockSpace, o_small: np.ndarray) -> sp.csr_matrix:
     return total.tocsr()
 
 
-def build_bogoliubov_generator(space: FockSpace, nu_by_pair) -> FockOperator:
+def build_bogoliubov_generator(space: FockSpace, nu_by_pair) -> sp.csr_matrix:
     """K = sum_i nu_i (a*_{2i} a*_{2i+1} - a_{2i} a_{2i+1})."""
     nu_by_pair = np.asarray(nu_by_pair, dtype=float)
     if nu_by_pair.shape != (space.pairs,):
@@ -133,9 +123,9 @@ def build_bogoliubov_generator(space: FockSpace, nu_by_pair) -> FockOperator:
     for i, nu in enumerate(nu_by_pair):
         if nu == 0.0:
             continue
-        down = op_annihilate(space, 2 * i).matrix @ op_annihilate(space, 2 * i + 1).matrix
+        down = op_annihilate(space, 2 * i) @ op_annihilate(space, 2 * i + 1)
         k = k + nu * (down.conj().T - down)
-    return FockOperator(matrix=k.tocsr(), label="K")
+    return k.tocsr()
 
 
 def _top_shell_mass(space: FockSpace, v: np.ndarray) -> float:
@@ -145,7 +135,7 @@ def _top_shell_mass(space: FockSpace, v: np.ndarray) -> float:
 
 def squeezed_vacuum(space: FockSpace, nu_by_pair) -> tuple[np.ndarray, float]:
     """e^{K} |vac> and a truncation estimate (norm defect + top-shell mass)."""
-    k = build_bogoliubov_generator(space, nu_by_pair).matrix
+    k = build_bogoliubov_generator(space, nu_by_pair)
     v = expm_multiply(k, space.vacuum())
     est = abs(1.0 - float(np.vdot(v, v).real)) + _top_shell_mass(space, v)
     return v, est
@@ -210,7 +200,7 @@ def bch_check(space: FockSpace, o_small, mode: int) -> float:
     total = space.occupations.sum(axis=1)
     e_plus, e_minus = _expm_pair_by_sector(second_quantized(space, o_small), total)
     keep = total <= space.n_max - 2
-    cre = [op_create(space, m).matrix for m in range(space.modes)]
+    cre = [op_create(space, m) for m in range(space.modes)]
     lhs = e_plus @ (cre[mode] @ e_minus[:, keep])
     col = scipy.linalg.expm(o_small)[:, mode]
     rhs = sum(col[a] * cre[a][:, keep] for a in range(space.modes))
@@ -229,11 +219,11 @@ def bogoliubov_action_defect(space: FockSpace, nu_by_pair, mode: int,
         max_total_occ = space.n_max // 2
     nu_by_pair = np.asarray(nu_by_pair, dtype=float)
     occ = space.occupations
-    k = build_bogoliubov_generator(space, nu_by_pair).matrix.real
+    k = build_bogoliubov_generator(space, nu_by_pair).real
     ek, emk = _expm_pair_by_sector(k, occ[:, 0::2] - occ[:, 1::2])
     keep = occ.sum(axis=1) <= max_total_occ
-    a = op_annihilate(space, mode).matrix.real
-    adag_partner = op_create(space, mode ^ 1).matrix.real
+    a = op_annihilate(space, mode).real
+    adag_partner = op_create(space, mode ^ 1).real
     nu = nu_by_pair[mode // 2]
     lhs = emk @ (a @ ek[:, keep])
     rhs = math.cosh(nu) * a[:, keep] + math.sinh(nu) * adag_partner[:, keep]

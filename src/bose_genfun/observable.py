@@ -10,7 +10,9 @@ therefore antilinear (it acts on conj(F_{-l,k})).  They reproduce the
 exact Fock-space oracle for arbitrary Hermitian O, and they are built
 from subtracted factors Delta = e^{kappa O} - 1, so O = 0 and kappa = 0
 give exactly zero.  F is the Neumann series of D applied to A, summed
-while a certified bound on the norm of D stays below one.
+while a certified bound on the norm of D stays below one.  Diagonal O take
+the same route; for O = 1, Lambda_O is the scalar Lambda of genfun.py,
+which is what the CLI's identity observable reports.
 
 The linearized kernels printed in the source derivation rewrite
 conj(F_{l,k}) through that cross-symmetry, which holds only when O
@@ -362,37 +364,3 @@ def _log_mgf_general_in(k: SpectrumKernel, obs: ObservableKernel, lams,
     return np.array([_quad(integrand, 0.0, lam, quad) + lam * mu_o if lam != 0.0
                      else 0.0 for lam in lams])
 
-
-def log_mgf_diagonal_sequence(k: SpectrumKernel, tau_seq, lam: float,
-                              quad: QuadratureSpec | None = None) -> float:
-    """MGF exponent for diagonal weights dGamma(diag(tau)).
-
-    Evaluates the weighted-integrand quadrature (arguments 2*kappa*tau_p,
-    per-mode prefactor tau_p) and cross-checks it against the per-mode
-    closed form -1/2 sum log(c^2 - e^{2 lambda tau_p} s^2).  Both are
-    per-mode expressions: they represent the true MGF when the weights are
-    even under p -> -p (tau_p = tau_{-p}); uneven weights are accepted but
-    describe a different (per-mode-factorized) quantity.
-    """
-    tau = np.asarray(tau_seq, dtype=float)
-    if tau.shape != (k.size,):
-        raise ValueError("tau_seq must have one entry per mode")
-    s2 = k.s * k.s
-    c2 = k.c * k.c
-    with np.errstate(divide="ignore"):
-        cap = np.where(s2 > 0, 1.0 / (2.0 * s2 * c2), np.inf)
-    if np.any(np.cosh(2.0 * lam * tau) - 1.0 >= cap):
-        raise ValueError("diagonal-weight domain condition violated")
-
-    def integrand(kappa: float) -> float:
-        ch = np.cosh(2.0 * kappa * tau) - 1.0
-        num = tau * c2 * s2 * (2.0 * c2 * ch - np.expm1(-2.0 * kappa * tau))
-        den = 1.0 - 2.0 * c2 * s2 * ch
-        return float(np.sum(num / den))
-
-    mu_tau = math.fsum((tau * s2).tolist())
-    result = _quad(integrand, 0.0, lam, quad) + lam * mu_tau
-    closed = -0.5 * math.fsum(np.log(c2 - np.exp(2.0 * lam * tau) * s2).tolist())
-    if abs(result - closed) > 1e-8 * max(1.0, abs(closed)):
-        raise ArithmeticError("diagonal quadrature disagrees with closed form")
-    return result

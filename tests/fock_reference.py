@@ -29,13 +29,13 @@ def pair_amplitudes(space: FockSpace, nu_by_pair, o_small, lam: float):
     for M = e^{-K} e^{lam dGamma(O)} e^{K}, indexed by modes (-p is p's partner).
     """
     o_small = np.asarray(o_small, dtype=complex)
-    k = build_bogoliubov_generator(space, nu_by_pair).matrix
+    k = build_bogoliubov_generator(space, nu_by_pair)
     dg = second_quantized(space, o_small)
     y = expm_multiply(k, space.vacuum())
     y = expm_multiply(lam * dg, y)
     y = expm_multiply(-k, y)
     g = complex(y[0])
-    ann = [op_annihilate(space, m).matrix for m in range(space.modes)]
+    ann = [op_annihilate(space, m) for m in range(space.modes)]
     f = np.empty((space.modes, space.modes), dtype=complex)
     for q in range(space.modes):
         aq_y = ann[q] @ y
@@ -55,7 +55,7 @@ def bch_check_dense(space: FockSpace, o_small, mode: int) -> float:
     w, u = scipy.linalg.eigh(dg)
     e_plus = (u * np.exp(w)) @ u.conj().T
     e_minus = (u * np.exp(-w)) @ u.conj().T
-    cre = [op_create(space, m).matrix.toarray() for m in range(space.modes)]
+    cre = [op_create(space, m).toarray() for m in range(space.modes)]
     lhs = e_plus @ cre[mode] @ e_minus
     col = scipy.linalg.expm(np.asarray(o_small))[:, mode]
     rhs = sum(col[a] * cre[a] for a in range(space.modes))
@@ -72,11 +72,11 @@ def bogoliubov_action_defect_dense(space: FockSpace, nu_by_pair, mode: int,
     if max_total_occ is None:
         max_total_occ = space.n_max // 2
     nu_by_pair = np.asarray(nu_by_pair, dtype=float)
-    k = build_bogoliubov_generator(space, nu_by_pair).matrix.toarray()
+    k = build_bogoliubov_generator(space, nu_by_pair).toarray()
     ek = scipy.linalg.expm(k)
     emk = scipy.linalg.expm(-k)
-    a = op_annihilate(space, mode).matrix.toarray()
-    adag_partner = op_create(space, mode ^ 1).matrix.toarray()
+    a = op_annihilate(space, mode).toarray()
+    adag_partner = op_create(space, mode ^ 1).toarray()
     nu = nu_by_pair[mode // 2]
     lhs = emk @ a @ ek
     rhs = math.cosh(nu) * a + math.sinh(nu) * adag_partner

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from bose_genfun import cli
 from bose_genfun.cli import main
+from bose_genfun.fockoracle import mgf_oracle
 from bose_genfun.lattice import build_lattice
 from bose_genfun.spectrum import build_kernel
 
@@ -137,6 +139,14 @@ def test_tails_default_and_override(tmp_path):
         == {"0.5", "1.5"}
 
 
+@pytest.mark.parametrize("n_list", ["nan", "abc", "inf"])
+def test_tails_bad_n_list_exits_2(tmp_path, capsys, n_list):
+    code, text = run(tmp_path, "tails", BASE, extra=("--n-list", f"0.5,{n_list}"))
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_observable_identity_json(tmp_path):
     body = dict(BASE, observable={"kind": "identity"},
                 lambda_grid={"min": -0.5, "max": 0.5, "count": 3},
@@ -149,6 +159,39 @@ def test_observable_identity_json(tmp_path):
     for row in doc["rows"]:
         assert abs(row["fp_residual"]) <= 1e-8
         assert row["symmetry_residual"] == 0.0
+
+
+def test_observable_identity_is_genfun_lambda(tmp_path):
+    # O = 1: the identity report carries genfun's quadrature Lambda, its
+    # distance to the closed form, and moments' mean, bit for bit
+    body = {"potential": {"kind": "square_well", "v": 1.0, "radius": 0.1},
+            "cutoff_m": 4, "observable": {"kind": "identity"},
+            "lambda_grid": {"min": -0.5, "max": 0.5, "count": 5}}
+    reports = {cmd: parse_csv(run(tmp_path, cmd, body, out_name=f"{cmd}.txt")[1])[2]
+               for cmd in ("observable", "genfun", "moments")}
+    obs, gen = reports["observable"], reports["genfun"]
+    assert len(obs) == len(gen) == 5
+    for o, g in zip(obs, gen):
+        assert (o["lambda"], o["log_mgf_o"], o["fp_residual"]) \
+            == (g["lambda"], g["log_mgf_quadrature"], g["abs_diff"])
+        assert o["mean_o"] == reports["moments"][0]["mean"]
+
+
+def test_observable_identity_disagreement_exits_3(tmp_path, capsys):
+    # a loose quadrature tolerance next to lambda0 leaves the quadrature
+    # about 3e-6 relative off the closed form: genfun reports the gap,
+    # the identity observable refuses it
+    body = dict(BASE, quadrature={"tol": 1e-2},
+                lambda_grid={"min": 5.75, "max": 5.75, "count": 1},
+                observable={"kind": "identity"})
+    code, text = run(tmp_path, "genfun", body)
+    assert code == 0
+    assert float(parse_csv(text)[2][0]["abs_diff"]) > 1e-8
+    capsys.readouterr()
+    code, text = run(tmp_path, "observable", body, out_name="obs.txt")
+    assert code == 3 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: quadrature disagrees") and err.count("\n") == 1
 
 
 def test_observable_random_seed_paths(tmp_path):
@@ -236,18 +279,37 @@ def test_oracle_pass_and_breach(tmp_path):
     assert any(r["status"] == "FAIL" for r in rows)
 
 
-def test_oracle_deep_one_pair_space_passes(tmp_path):
+def test_oracle_deep_one_pair_space_passes(tmp_path, monkeypatch):
     # README square well, one pair at n_max = 30, seed 0: a dense
     # eigendecomposition of dGamma(O) leaked about 4e-8 between number
     # sectors here and breached the 1e-8 tolerance; the exact defect is zero
     body = {"potential": {"kind": "square_well", "v": 1.0, "radius": 0.1},
             "cutoff_m": 10, "oracle": {"pairs": 1, "n_max": 30}}
+    calls = []
+    monkeypatch.setattr(cli, "mgf_oracle",
+                        lambda *a, **kw: calls.append(a) or mgf_oracle(*a, **kw))
     code, text = run(tmp_path, "oracle", body, seed=0)
     assert code == 0
     _, _, rows = parse_csv(text)
     assert all(r["status"] == "pass" for r in rows)
     (bch,) = [r for r in rows if r["check"] == "bch_defect"]
     assert float(bch["value"]) <= 1e-10
+    # the requested space is the one-pair MGF space: one MGF run, one row each
+    checks = [r["check"] for r in rows]
+    assert len(checks) == len(set(checks)) == 4
+    assert len(calls) == 1
+
+
+def test_oracle_one_pair_shallow_space_names_each_check_once(tmp_path):
+    body = {"potential": {"kind": "direct", "a": 0.05}, "cutoff_m": 1,
+            "oracle": {"pairs": 1, "n_max": 10}}
+    code, text = run(tmp_path, "oracle", body)
+    assert code == 0
+    _, _, rows = parse_csv(text)
+    assert [r["check"] for r in rows] == [
+        "mgf_1pair_vs_closed", "mgf_1pair_truncation", "bch_defect",
+        "bogoliubov_action_defect"]
+    assert all(r["status"] == "pass" for r in rows)
 
 
 def test_config_error_paths(tmp_path):

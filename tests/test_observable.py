@@ -23,7 +23,6 @@ from bose_genfun.observable import (
     d_norm_bound,
     exp_of_O,
     kernel_A,
-    log_mgf_diagonal_sequence,
     log_mgf_general,
     observable_from_csv,
     observable_from_matrix,
@@ -426,18 +425,25 @@ def test_log_mgf_general_domain_rejection():
     assert log_mgf_general(k, obs, [0.0])[0] == 0.0
 
 
+def per_mode_closed(k, tau, lam):
+    """-1/2 sum_p log(c_p^2 - e^{2 lam tau_p} s_p^2): the exponent for
+    diagonal weights tau when each mode factorized on its own."""
+    return -0.5 * math.fsum(np.log(k.c ** 2 - np.exp(2.0 * lam * tau) * k.s ** 2))
+
+
 def test_diagonal_sequence_routes():
     k = desk_kernel()
     lam = 0.8
-    # unit weights: the scalar exponent
-    assert log_mgf_diagonal_sequence(k, np.ones(4), lam) == pytest.approx(
+    # unit weights: the per-mode form is the scalar exponent
+    assert per_mode_closed(k, np.ones(4), lam) == pytest.approx(
         log_mgf_closed(k, lam), abs=1e-10)
     # zero weights: identically zero
-    assert log_mgf_diagonal_sequence(k, np.zeros(4), lam) == 0.0
+    zero = observable_from_matrix(DESK, np.zeros((4, 4)))
+    assert log_mgf_general(k, zero, [lam])[0] == 0.0
     # pair-even weights agree with the general fixed-point route
     tau = np.array([0.7, 0.2, 0.2, 0.7])
     gen = log_mgf_general(k, observable_from_matrix(DESK, np.diag(tau)), [lam])[0]
-    assert log_mgf_diagonal_sequence(k, tau, lam) == pytest.approx(gen, abs=1e-10)
+    assert per_mode_closed(k, tau, lam) == pytest.approx(gen, abs=1e-10)
 
 
 def test_diagonal_sequence_uneven_weights_are_a_different_quantity():
@@ -449,17 +455,9 @@ def test_diagonal_sequence_uneven_weights_are_a_different_quantity():
     k = kernel_from_nu(lat, [nu, nu])
     lam = 0.3
     tau = np.array([1.0, 0.0])
-    per_mode = log_mgf_diagonal_sequence(k, tau, lam)
+    per_mode = per_mode_closed(k, tau, lam)
     ref = mgf_oracle(build_space(1, 40), [nu], np.diag([1.0, 0.0]), lam)
     true_val = math.log(ref.value.real)
     gen = log_mgf_general(k, observable_from_matrix(lat, np.diag(tau)), [lam])[0]
     assert gen == pytest.approx(true_val, abs=1e-9)
     assert abs(per_mode - true_val) > 1e-4
-
-
-def test_diagonal_sequence_domain_precondition():
-    k = kernel_from_nu(lattice_from_vectors([(1, 0, 0)]), [-0.55, -0.55])
-    with pytest.raises(ValueError):
-        log_mgf_diagonal_sequence(k, np.ones(2), 0.99 * k.lambda0 * 2)
-    with pytest.raises(ValueError):
-        log_mgf_diagonal_sequence(k, np.ones(3), 0.1)
