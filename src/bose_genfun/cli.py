@@ -3,7 +3,8 @@
 Outputs are deterministic given (config, seed): no timestamps, floats
 printed with 17 significant digits, files written atomically.  Exit codes:
 0 success, 2 config error, 3 domain error (lambda outside the admissible
-interval or a quadrature/domain failure), 4 oracle tolerance breach.
+interval or a quadrature/domain failure), 4 oracle tolerance breach, 5 any
+other exception; each failure prints one stderr line, no traceback.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .genfun import (QuadratureSpec, cumulants,
                      fourth_central_printed_combination, log_mgf_closed,
                      log_mgf_grid)
 from .lattice import build_lattice, lattice_from_vectors
-from .observable import (_log_mgf_general_in, certified_domain,
-                         observable_from_csv, observable_mean,
-                         observable_random, solve_F)
+from .observable import (certified_domain, log_mgf_det, observable_from_csv,
+                         observable_mean, observable_random, solve_F)
 from .scattering import PotentialSpec, scattering_length, solve_scattering
 from .spectrum import SpectrumKernel, build_kernel, depletion_mean
 
@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
 
 _CSV_OBS_MODE_CAP = 64
 _DESK_VECTORS = {1: [(1, 0, 0)], 2: [(1, 0, 0), (0, 1, 0)]}
@@ -134,7 +135,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     sha = hashlib.sha256(blob).hexdigest()
     try:
         raw = json.loads(blob)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that decode to no text
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -151,8 +152,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     lmin = _float(grid.get("min"), "lambda_grid.min")
     lmax = _float(grid.get("max"), "lambda_grid.max")
     count = _int(grid.get("count"), "lambda_grid.count")
-    if count < 1 or lmax < lmin:
-        raise ConfigError("lambda_grid needs count >= 1 and max >= min")
+    if not 1 <= count <= 100_000 or lmax < lmin:
+        raise ConfigError("lambda_grid needs 1 <= count <= 100000 and max >= min")
 
     q = _section(raw, "quadrature", {})
     quad = QuadratureSpec(tol=_float(q.get("tol", 1e-10), "quadrature.tol"),
@@ -402,20 +403,29 @@ def cmd_observable(cfg: RunConfig) -> int:
         work_k = _cube_kernel(cfg)
         obs = observable_from_csv(work_k.lattice, cfg.observable["path"])
 
+    # Lambda_O from the Gaussian determinant; one fixed point per lambda gives
+    # the residual columns and a Neumann slope that must match the determinant's
     dom = certified_domain(work_k, obs)
     lams = _lambda_grid(cfg, min(dom, work_k.lambda0), warnings)
     mu_o = observable_mean(work_k, obs)
-    vals = _log_mgf_general_in(work_k, obs, lams, cfg.quadrature, dom)
-    for lam, val in zip(lams, vals):
+    weight = np.outer(work_k.s, work_k.c) * obs.o
+    slope_gap = 0.0
+    for lam, val, slope in zip(lams, *log_mgf_det(work_k, obs, lams)):
         if lam != 0.0:
             sol = solve_F(work_k, obs, float(lam))
             res = (sol.residual, sol.symmetry_residual, sol.exchange_residual)
+            gap = (abs(float(np.sum(weight * sol.F).real) + mu_o - slope)
+                   / max(1.0, abs(slope)))
+            if gap > 1e-8:
+                raise ArithmeticError(f"Neumann slope disagrees with the "
+                                      f"determinant at lambda={lam:.9g}")
+            slope_gap = max(slope_gap, gap)
         else:
             res = (0.0, 0.0, 0.0)
         rows.append([float(lam), float(val), mu_o, dom, *res])
     _emit(cfg, "observable", columns, rows,
-          {"lambda0": work_k.lambda0, "a16pi": work_k.a16pi, "observable": kind},
-          warnings)
+          {"lambda0": work_k.lambda0, "a16pi": work_k.a16pi, "observable": kind,
+           "slope_gap": slope_gap}, warnings)
     return EXIT_OK
 
 
@@ -496,6 +506,12 @@ _COMMANDS = {
 }
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Print '<kind>: <message>' as one stderr line and return the exit code."""
+    print(f"{kind}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bose-genfun",
@@ -515,14 +531,13 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](parse_config(args))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config error", exc, EXIT_CONFIG)
     except OracleBreach as exc:
-        print(f"oracle breach: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+        return _fail("oracle breach", exc, EXIT_ORACLE)
     except (ValueError, ArithmeticError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _fail("domain error", exc, EXIT_DOMAIN)
+    except Exception as exc:  # the boundary: a defect, reported in one line
+        return _fail(f"internal error: {type(exc).__name__}", exc, EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

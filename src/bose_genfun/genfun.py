@@ -133,29 +133,6 @@ def _moments_from_cumulants(kap: np.ndarray, order: int) -> np.ndarray:
     return m
 
 
-def mgf_derivative_check(k: SpectrumKernel, lam: float, j: int) -> float:
-    """d^j/dlambda^j of e^{Lambda} by central finite differences (cross-check only)."""
-    if not 1 <= j <= 4:
-        raise ValueError("derivative order must be in 1..4")
-    _check_domain(k, lam)
-    h = 2.5e-3
-    if math.isfinite(k.lambda0):
-        h = min(h, 0.1 * (k.lambda0 - abs(lam)))
-        if abs(lam) + 2 * h >= k.lambda0:
-            raise ValueError("finite-difference stencil exits the MGF domain")
-
-    def f(x: float) -> float:
-        return math.exp(log_mgf_closed(k, x))
-
-    if j == 1:
-        return (f(lam + h) - f(lam - h)) / (2 * h)
-    if j == 2:
-        return (f(lam + h) - 2 * f(lam) + f(lam - h)) / (h * h)
-    if j == 3:
-        return (f(lam + 2 * h) - 2 * f(lam + h) + 2 * f(lam - h) - f(lam - 2 * h)) / (2 * h ** 3)
-    return (f(lam + 2 * h) - 4 * f(lam + h) + 6 * f(lam) - 4 * f(lam - h) + f(lam - 2 * h)) / h ** 4
-
-
 def fourth_central_printed_combination(k: SpectrumKernel, sig2: float) -> float:
     """The alternative printed fourth-moment combination 12 sigma^4 + 8 sigma^2
     + 48 sum c^4 s^4, reported for comparison and never asserted; sig2 is

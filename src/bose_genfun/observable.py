@@ -1,18 +1,23 @@
-"""General one-particle observables: the A/D kernels, the fixed-point
-equation for the pair amplitude F, and Lambda_O(lambda).
+"""General one-particle observables: Lambda_O(lambda) in closed form, and
+the fixed-point equation for the pair amplitude F that cross-checks it.
 
-The pair amplitude F_{p,q}(kappa) = <vac, a_{-p} a_q M(kappa) vac> with
-M = e^{-K} e^{kappa dGamma(O)} e^{K} satisfies a linear fixed-point
-equation F = A + D[F].  The kernels are obtained by conjugating the two
-annihilators through both exponentials and normal-ordering, with no use
-of any cross-symmetry between F_{p,q} and conj(F_{q,p}); the map D is
-therefore antilinear (it acts on conj(F_{-l,k})).  They reproduce the
-exact Fock-space oracle for arbitrary Hermitian O, and they are built
-from subtracted factors Delta = e^{kappa O} - 1, so O = 0 and kappa = 0
-give exactly zero.  F is the Neumann series of D applied to A, summed
-while a certified bound on the norm of D stays below one.  Diagonal O take
-the same route; for O = 1, Lambda_O is the scalar Lambda of genfun.py,
-which is what the CLI's identity observable reports.
+The Bogoliubov state is the Gaussian exp(1/2 a*.T a*) vac, T_{p,-p} =
+tanh nu_p, and e^{lambda dGamma(O)} maps T to e^{lambda O} T e^{lambda O}^T.
+A Gaussian overlap is a determinant (Balian & Brezin 1969), so log_mgf_det
+gives Lambda_O and Lambda_O' as log-determinants; for O = 1 that is the
+scalar Lambda of genfun.py.
+
+F_{p,q}(kappa) = <vac, a_{-p} a_q M(kappa) vac> with M = e^{-K}
+e^{kappa dGamma(O)} e^{K} satisfies F = A + D[F].  The kernels come from
+conjugating the two annihilators through both exponentials and
+normal-ordering, with no use of any cross-symmetry between F_{p,q} and
+conj(F_{q,p}), so D is antilinear (it acts on conj(F_{-l,k})).  They match
+the Fock-space oracle for any Hermitian O and are built from subtracted
+factors e^{kappa O} - 1, so O = 0 and kappa = 0 give exactly zero.  F is
+the Neumann series of D applied to A, summed while a certified bound on
+the norm of D stays below one.  Re sum s_p c_q O_pq F_pq + mu_O is
+Lambda_O', which the CLI holds against the determinant; the paper's
+quadrature of it is log_mgf_general in tests/kernel_reference.py.
 
 The linearized kernels printed in the source derivation rewrite
 conj(F_{l,k}) through that cross-symmetry, which holds only when O
@@ -31,7 +36,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .genfun import QuadratureSpec, _quad
 from .lattice import Lattice
 from .spectrum import SpectrumKernel
 
@@ -39,6 +43,7 @@ _EXP_ROUNDTRIP_TOL = 1e-12
 _NEUMANN_TOL = 1e-13
 _NEUMANN_MAX_TERMS = 400
 _BISECTION_STEPS = 80
+_EDGE_MARGIN = 1e-14  # above the rounding of a singular value near 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +159,9 @@ def _exp_pair(obs: ObservableKernel, kappa: float) -> tuple[np.ndarray, np.ndarr
     return ep, em
 
 
-def exp_of_O(obs: ObservableKernel, kappa: float) -> np.ndarray:
-    """exp(kappa O) through the unitary eigendecomposition of Hermitian O."""
-    return _exp_pair(obs, kappa)[0]
+def _check_lattices(k: SpectrumKernel, obs: ObservableKernel) -> None:
+    if not np.array_equal(obs.lattice.vectors, k.lattice.vectors):
+        raise ValueError("observable and kernel live on different lattices")
 
 
 def _diag(v):
@@ -175,8 +180,7 @@ class _Factors:
     """
 
     def __init__(self, k: SpectrumKernel, obs: ObservableKernel, kappa: float):
-        if not np.array_equal(obs.lattice.vectors, k.lattice.vectors):
-            raise ValueError("observable and kernel live on different lattices")
+        _check_lattices(k, obs)
         self.s, self.c = k.s, k.c
         self.neg = neg = k.lattice.neg_index
         ep, em = _exp_pair(obs, kappa)
@@ -334,33 +338,34 @@ def certified_domain(k: SpectrumKernel, obs: ObservableKernel) -> float:
     return lo
 
 
-def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lams,
-                    quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Lambda_O(lambda) = int_0^lambda Re sum s_p c_q O_pq Fhat_pq(kappa) dkappa
-    + lambda mu_O on a lambda grid, solving the fixed point at each node.
-
-    The certified domain is computed once for the grid; every lambda is
-    integrated from 0 on its own, so a value does not depend on the grid.
+def log_mgf_det(k: SpectrumKernel, obs: ObservableKernel,
+                lams) -> tuple[np.ndarray, np.ndarray]:
+    """(Lambda_O, Lambda_O') on a lambda grid from the Gaussian overlap:
+    Lambda_O = -1/2 log det(1 - conj(T) T') + 1/2 log det(1 - conj(T) T) and
+    Lambda_O' = 1/2 tr[(1 - conj(T) T')^{-1} conj(T) (O T' + T' O^T)], with
+    T' = e^{lambda O} T e^{lambda O}^T.  Both are read from the singular
+    values sigma of S = e^{lambda O/2} T e^{lambda O/2}^T, since
+    det(1 - conj(T) T') = prod (1 - sigma^2).  ValueError outside the exact
+    domain ||S||_2 < 1 (less a rounding margin).  For O = 1, ||S||_2 =
+    e^lambda max|t_p|: the domain is lambda < lambda0 and the value is
+    genfun's scalar closed form.
     """
-    return _log_mgf_general_in(k, obs, lams, quad, certified_domain(k, obs))
-
-
-def _log_mgf_general_in(k: SpectrumKernel, obs: ObservableKernel, lams,
-                        quad: QuadratureSpec | None, dom: float) -> np.ndarray:
-    """log_mgf_general for a caller that already holds certified_domain(k, obs)."""
-    lams = [float(lam) for lam in np.atleast_1d(lams)]
-    for lam in lams:
-        if not abs(lam) < dom:
-            raise ValueError(f"lambda {lam} outside certified contraction domain "
-                             f"(+-{dom:.6g})")
-    mu_o = observable_mean(k, obs)
-    weight = np.outer(k.s, k.c) * obs.o
-
-    def integrand(kappa: float) -> float:
-        if kappa == 0.0:
-            return 0.0
-        return float(np.sum(weight * solve_F(k, obs, kappa).F).real)
-
-    return np.array([_quad(integrand, 0.0, lam, quad) + lam * mu_o if lam != 0.0
-                     else 0.0 for lam in lams])
-
+    _check_lattices(k, obs)
+    t_pair = np.diag(k.t)[:, k.lattice.neg_index]  # T_{p,-p} = tanh nu_p
+    base = 0.5 * math.fsum(np.log1p(-k.t * k.t).tolist())
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    vals, slopes = np.zeros(lams.size), np.zeros(lams.size)
+    for i, lam in enumerate(lams):
+        half = _exp_pair(obs, 0.5 * float(lam))[0]
+        s_mat = half @ t_pair @ half.T
+        u, sig, vh = np.linalg.svd(s_mat)
+        if not sig[0] < 1.0 - _EDGE_MARGIN:
+            raise ValueError(f"lambda {lam} outside the exact domain: "
+                             f"||e^(lambda O/2) T e^(lambda O/2)^T|| = {sig[0]:.6g} >= 1")
+        if lam != 0.0:
+            vals[i] = -0.5 * math.fsum(np.log1p(-sig * sig).tolist()) + base
+        # Lambda_O' = Re tr[(1 - S^dag S)^{-1} S^dag S'], S' = (O S + S O^T)/2
+        ds = 0.5 * (obs.o @ s_mat + s_mat @ obs.o.T)
+        diag = np.einsum("ij,jk,ki->i", u.conj().T, ds, vh.conj().T).real
+        slopes[i] = math.fsum((sig / ((1.0 - sig) * (1.0 + sig)) * diag).tolist())
+    return vals, slopes

@@ -126,6 +126,9 @@ def _integrate(pot, r_max, n_grid):
     return np.concatenate([r_in, r_out]), np.concatenate([u_in, u_out]), (u, du)
 
 
+# an overflowing march (huge v or radius) leaves a non-finite residual, which
+# the refinement loop reports as non-convergence; numpy need not warn too
+@np.errstate(over="ignore", invalid="ignore")
 def solve_scattering(pot: PotentialSpec, r_max: float, n_grid: int) -> ScatteringSolution:
     if pot.kind == "direct":
         raise ValueError("direct potentials bypass the solver")

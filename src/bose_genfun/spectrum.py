@@ -64,8 +64,8 @@ def _lambda0_from_tanh(t: np.ndarray) -> float:
 def build_kernel(lattice: Lattice, a16pi: float) -> SpectrumKernel:
     """Populate nu and the hyperbolic arrays for every lattice mode."""
     p2 = p_squared_array(lattice)
-    if a16pi < 0:
-        raise ValueError("a16pi must be nonnegative")
+    if not 0 <= a16pi < math.inf:
+        raise ValueError(f"a16pi must be finite and nonnegative (got {a16pi!r})")
     nu = -0.25 * np.log1p(a16pi / p2)
     s, c, t = np.sinh(nu), np.cosh(nu), np.tanh(nu)
     return SpectrumKernel(lattice=lattice, a16pi=float(a16pi), nu=nu,

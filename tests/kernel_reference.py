@@ -17,9 +17,14 @@ nothing from it.
   source also carries a ninth summand (``with_term9``) that breaks the
   raw/stabilized equality.  The tests pin both discrepancies.
 * The raw (unsubtracted) forms of both constructions, for raw == stabilized.
+* The Neumann-quadrature route to Lambda_O (``log_mgf_general``): the
+  fixed point solved by the Neumann series at each quadrature node of
+  int_0^lambda Lambda_O'.  The package reports the Gaussian-determinant
+  closed form ``observable.log_mgf_det``, and the tests hold the two
+  against each other.
 * A brute-force four-index tensor, a power-iteration estimate of the norm
   of D, and a realified dense solver for F = A + D[F], which also gives a
-  second route to Lambda_O.
+  third route to Lambda_O.
 """
 
 import math
@@ -27,16 +32,20 @@ import math
 import numpy as np
 import scipy.linalg
 
-from bose_genfun.genfun import _quad
+from bose_genfun.genfun import QuadratureSpec, _quad
 from bose_genfun.observable import (
     _access,
     _diag,
     _exp_pair,
     _Factors,
+    ObservableKernel,
     apply_D,
+    certified_domain,
     kernel_A,
     observable_mean,
+    solve_F,
 )
+from bose_genfun.spectrum import SpectrumKernel
 
 
 class RefFactors:
@@ -196,6 +205,37 @@ def dense_solve(a, apply):
     rhs = np.concatenate([a.real.ravel(), a.imag.ravel()])
     x = scipy.linalg.solve(np.eye(2 * n * n) - m, rhs)
     return (x[:n * n] + 1j * x[n * n:]).reshape(n, n)
+
+
+def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lams,
+                    quad: QuadratureSpec | None = None) -> np.ndarray:
+    """Lambda_O(lambda) = int_0^lambda Re sum s_p c_q O_pq Fhat_pq(kappa) dkappa
+    + lambda mu_O on a lambda grid, solving the fixed point at each node.
+
+    The certified domain is computed once for the grid; every lambda is
+    integrated from 0 on its own, so a value does not depend on the grid.
+    """
+    return _log_mgf_general_in(k, obs, lams, quad, certified_domain(k, obs))
+
+
+def _log_mgf_general_in(k: SpectrumKernel, obs: ObservableKernel, lams,
+                        quad: QuadratureSpec | None, dom: float) -> np.ndarray:
+    """log_mgf_general for a caller that already holds certified_domain(k, obs)."""
+    lams = [float(lam) for lam in np.atleast_1d(lams)]
+    for lam in lams:
+        if not abs(lam) < dom:
+            raise ValueError(f"lambda {lam} outside certified contraction domain "
+                             f"(+-{dom:.6g})")
+    mu_o = observable_mean(k, obs)
+    weight = np.outer(k.s, k.c) * obs.o
+
+    def integrand(kappa: float) -> float:
+        if kappa == 0.0:
+            return 0.0
+        return float(np.sum(weight * solve_F(k, obs, kappa).F).real)
+
+    return np.array([_quad(integrand, 0.0, lam, quad) + lam * mu_o if lam != 0.0
+                     else 0.0 for lam in lams])
 
 
 def log_mgf_dense(k, obs, lam, quad=None):

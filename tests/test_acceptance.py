@@ -30,7 +30,7 @@ from bose_genfun.genfun import (
 from bose_genfun.lattice import build_lattice, lattice_from_vectors
 from bose_genfun.observable import (
     certified_domain,
-    log_mgf_general,
+    log_mgf_det,
     observable_identity,
     observable_random,
     solve_F,
@@ -44,7 +44,7 @@ from bose_genfun.spectrum import (
 )
 from bose_genfun.tails import chernoff_bound, nonconcentration_witness, quadratic_bound
 from fock_reference import depletion_distribution
-from kernel_reference import log_mgf_dense
+from kernel_reference import log_mgf_dense, log_mgf_general
 
 DESK = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
 
@@ -138,9 +138,10 @@ def test_criterion_4_fock_truncation_convergence():
     assert ok, line
 
 
-def test_criterion_5_observable_exponent_three_routes():
+def test_criterion_5_observable_exponent_four_routes():
     # seeded parity-symmetric observable on the two-pair desk kernel:
-    # Neumann and dense solvers agree to 1e-10, both match the brute-force
+    # Neumann and dense solvers agree to 1e-10, the Gaussian determinant
+    # matches the Neumann route to 1e-12, both solvers match the brute-force
     # Fock value to 1e-6 inside half the certified domain, identity weights
     # reproduce the scalar exponent, and the recorded pair symmetry of every
     # fixed point stays below 1e-10
@@ -148,13 +149,15 @@ def test_criterion_5_observable_exponent_three_routes():
     obs = observable_random(DESK, seed=7, ensemble="real-parity")
     dom = certified_domain(k, obs)
     span = 0.5 * min(dom, k.lambda0)
-    route_gap = sym_worst = 0.0
+    route_gap = det_gap = sym_worst = 0.0
     lams = (-span, -0.5 * span, 0.5 * span, span)
-    for lam, neu in zip(lams, log_mgf_general(k, obs, lams)):
+    dets = log_mgf_det(k, obs, lams)[0]
+    for lam, neu, det in zip(lams, log_mgf_general(k, obs, lams), dets):
         den = log_mgf_dense(k, obs, lam)
         route_gap = max(route_gap, abs(neu - den))
+        det_gap = max(det_gap, abs(det - neu) / max(1.0, abs(neu)))
         sym_worst = max(sym_worst, solve_F(k, obs, lam).symmetry_residual)
-    ok_routes = route_gap <= 1e-10 and sym_worst <= 1e-10
+    ok_routes = route_gap <= 1e-10 and det_gap <= 1e-12 and sym_worst <= 1e-10
 
     fock_of_lat = np.empty(DESK.size, dtype=int)
     for j, (i1, i2) in enumerate(DESK.pairs):
@@ -172,6 +175,7 @@ def test_criterion_5_observable_exponent_three_routes():
     ok_id = id_gap <= 1e-8
     ok = ok_routes and ok_oracle and ok_id
     line = _report(5, ok, f"solver routes differ by {route_gap:.3e} <= 1e-10, "
+                          f"determinant vs Neumann gap {det_gap:.3e} <= 1e-12, "
                           f"Fock oracle gap {oracle_gap:.3e} <= 1e-6, identity "
                           f"reduction gap {id_gap:.3e} <= 1e-8, pair symmetry "
                           f"residual {sym_worst:.3e} <= 1e-10")

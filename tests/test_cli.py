@@ -1,10 +1,13 @@
 """End-to-end CLI runs through main(): exit codes, formats, determinism."""
 
+import copy
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bose_genfun import cli
 from bose_genfun.cli import main
@@ -319,6 +322,8 @@ def test_config_error_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["genfun", "--config", str(bad), "--out", str(out)]) == 2
+    bad.write_bytes(b'\xff\xfe{"cutoff_m": 1}')  # a UTF-16 mark, then no UTF-16
+    assert main(["genfun", "--config", str(bad), "--out", str(out)]) == 2
     for broken in (
         {"cutoff_m": 0},
         {"cutoff_m": 2, "potential": {"kind": "yukawa"}},
@@ -353,6 +358,100 @@ def test_mistyped_config_exits_2(tmp_path, capsys, change):
     assert code == 2 and text is None
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_observable_checks_the_neumann_slope(tmp_path, capsys, monkeypatch):
+    body = {"potential": {"kind": "direct", "a": 0.05}, "cutoff_m": 1,
+            "observable": {"kind": "random", "pairs": 2, "seed": 7},
+            "lambda_grid": {"min": -0.3, "max": 0.3, "count": 3}}
+    code, text = run(tmp_path, "observable", body)
+    assert code == 0
+    meta, _, _ = parse_csv(text)
+    assert 0.0 <= float(meta["slope_gap"]) <= 1e-12
+    # a determinant slope off by more than 1e-8 is a domain failure
+    real = cli.log_mgf_det
+    monkeypatch.setattr(cli, "log_mgf_det",
+                        lambda *args: (real(*args)[0], real(*args)[1] + 2e-8))
+    code, _ = run(tmp_path, "observable", body, out_name="bad.txt")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("domain error: Neumann slope disagrees") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_5(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli._COMMANDS, "moments", broken)
+    code, text = run(tmp_path, "moments", BASE)
+    err = capsys.readouterr().err
+    assert code == 5 and text is None
+    assert err == "internal error: KeyError: 'lost'\n"
+    assert "Traceback" not in err
+
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "moments", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(tmp_path, "moments", BASE)
+
+
+# The README config at cutoff_m = 2, mutated below.
+README_CONFIG = {
+    "potential": {"kind": "square_well", "v": 1.0, "radius": 0.1},
+    "convention": "paper",
+    "cutoff_m": 2,
+    "lambda_grid": {"min": -0.5, "max": 0.5, "count": 11},
+    "observable": {"kind": "random", "pairs": 2, "seed": 7},
+    "oracle": {"pairs": 2, "n_max": 10},
+    "output": {"format": "csv"},
+}
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+_OUT_OF_RANGE = st.sampled_from([-1, 0, -1e-300, 5e-324, 1e-300, 1e300, 1e308,
+                                 -1e308, 2**63, 10**400])
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(README_CONFIG)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = [(key,) for key in cfg]
+        paths += [(key, sub) for key, val in cfg.items() if isinstance(val, dict)
+                  for sub in val]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = cfg if len(path) == 1 else cfg[path[0]]
+        op = draw(st.sampled_from(["delete", "junk", "number"]))
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_JUNK if op == "junk" else _OUT_OF_RANGE)
+    cut = cfg.get("cutoff_m")
+    if isinstance(cut, int) and not isinstance(cut, bool) and cut > 2:
+        cfg["cutoff_m"] = 2  # keep the cube small
+    return cfg
+
+
+# A numpy warning would print on stderr outside pytest, so each one counts as
+# a stderr line.
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=mutated_configs())
+def test_config_fuzz_never_exits_5(tmp_path, capsys, cfg):
+    for command in ("scattering", "moments"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run(tmp_path, command, cfg)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (command, code, err)
+        assert err.count("\n") + len(caught) <= 1, (command, err, caught)
 
 
 def test_byte_identical_reruns(tmp_path):

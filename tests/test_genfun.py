@@ -20,10 +20,10 @@ from bose_genfun.genfun import (
     log_mgf,
     log_mgf_closed,
     log_mgf_grid,
-    mgf_derivative_check,
 )
 from bose_genfun.lattice import build_lattice, lattice_from_vectors
 from bose_genfun.spectrum import (
+    _check_domain,
     build_kernel,
     depletion_mean,
     depletion_variance,
@@ -151,6 +151,29 @@ def test_printed_fourth_combination_disagrees():
     printed = fourth_central_printed_combination(k, cs.kappa[2])
     assert printed == pytest.approx(12 * sig2**2 + 8 * sig2 + 48 * quart, rel=1e-13)
     assert abs(printed - cs.central[4]) > 1.0
+
+
+def mgf_derivative_check(k, lam: float, j: int) -> float:
+    """d^j/dlambda^j of e^{Lambda} by central finite differences."""
+    if not 1 <= j <= 4:
+        raise ValueError("derivative order must be in 1..4")
+    _check_domain(k, lam)
+    h = 2.5e-3
+    if math.isfinite(k.lambda0):
+        h = min(h, 0.1 * (k.lambda0 - abs(lam)))
+        if abs(lam) + 2 * h >= k.lambda0:
+            raise ValueError("finite-difference stencil exits the MGF domain")
+
+    def f(x: float) -> float:
+        return math.exp(log_mgf_closed(k, x))
+
+    if j == 1:
+        return (f(lam + h) - f(lam - h)) / (2 * h)
+    if j == 2:
+        return (f(lam + h) - 2 * f(lam) + f(lam - h)) / (h * h)
+    if j == 3:
+        return (f(lam + 2 * h) - 2 * f(lam + h) + 2 * f(lam - h) - f(lam - 2 * h)) / (2 * h ** 3)
+    return (f(lam + 2 * h) - 4 * f(lam + h) + 6 * f(lam) - 4 * f(lam - h) + f(lam - 2 * h)) / h ** 4
 
 
 def test_finite_difference_cross_check():

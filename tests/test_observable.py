@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bose_genfun.observable as observable_mod
 from bose_genfun.fockoracle import build_space, mgf_oracle
@@ -21,9 +22,8 @@ from bose_genfun.observable import (
     apply_D,
     certified_domain,
     d_norm_bound,
-    exp_of_O,
     kernel_A,
-    log_mgf_general,
+    log_mgf_det,
     observable_from_csv,
     observable_from_matrix,
     observable_identity,
@@ -31,7 +31,7 @@ from bose_genfun.observable import (
     observable_random,
     solve_F,
 )
-from bose_genfun.observable import _Factors, _residuals
+from bose_genfun.observable import _exp_pair, _Factors, _residuals
 from bose_genfun.spectrum import build_kernel, depletion_mean, kernel_from_nu
 from fock_reference import pair_amplitudes
 from kernel_reference import (
@@ -43,6 +43,7 @@ from kernel_reference import (
     kernel_A_paper,
     kernel_A_raw,
     log_mgf_dense,
+    log_mgf_general,
     realified,
 )
 
@@ -162,11 +163,12 @@ def test_identity_mean_is_depletion_mean():
 
 def test_exp_of_O():
     obs = observable_random(DESK, seed=5, ensemble="hermitian")
-    e = exp_of_O(obs, 0.7)
-    assert np.allclose(e @ exp_of_O(obs, -0.7), np.eye(4), atol=1e-12)
+    e, e_inv = _exp_pair(obs, 0.7)
+    assert np.allclose(e @ e_inv, np.eye(4), atol=1e-12)
+    assert np.allclose(e_inv, _exp_pair(obs, -0.7)[0], rtol=0, atol=1e-14)
     d = observable_from_matrix(DESK, np.diag([0.2, -0.1, -0.1, 0.2]))
-    assert np.allclose(exp_of_O(d, 2.0), np.diag(np.exp([0.4, -0.2, -0.2, 0.4])))
-    assert np.array_equal(exp_of_O(d, 0.0), np.eye(4))
+    assert np.allclose(_exp_pair(d, 2.0)[0], np.diag(np.exp([0.4, -0.2, -0.2, 0.4])))
+    assert np.array_equal(_exp_pair(d, 0.0)[0], np.eye(4))
 
 
 # ---------------------------------------------------------- source kernel A
@@ -423,6 +425,57 @@ def test_log_mgf_general_domain_rejection():
     with pytest.raises(ValueError):
         log_mgf_general(k, obs, [dom * 1.01])
     assert log_mgf_general(k, obs, [0.0])[0] == 0.0
+
+
+def neumann_slope(k, obs, lam):
+    """Lambda_O'(lam) = Re sum s_p c_q O_pq F_pq(lam) + mu_O from one
+    Neumann fixed-point solve."""
+    slope = observable_mean(k, obs)
+    if lam != 0.0:
+        F = solve_F(k, obs, lam).F
+        slope += float(np.sum(np.outer(k.s, k.c) * obs.o * F).real)
+    return slope
+
+
+# Each example runs one Neumann-quadrature integral, about 0.2 s.
+@settings(max_examples=10, deadline=None)
+@given(pairs=st.sampled_from([1, 2]),
+       ensemble=st.sampled_from(["real-parity", "hermitian"]),
+       a=st.floats(0.005, 0.3), frac=st.floats(-0.9, 0.9),
+       seed=st.integers(0, 2**32 - 1))
+def test_log_mgf_det_matches_neumann_route(pairs, ensemble, a, frac, seed):
+    lat = lattice_from_vectors([(1, 0, 0), (0, 1, 0)][:pairs])
+    k = build_kernel(lat, 16.0 * math.pi * a)
+    obs = observable_random(lat, seed, ensemble=ensemble)
+    lam = frac * certified_domain(k, obs)
+    (val,), (slope,) = log_mgf_det(k, obs, [lam])
+    ref = log_mgf_general(k, obs, [lam])[0]
+    assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+    # relative to the slope's size, not to a value that cancels: with
+    # ||O||_2 = 1, |mu_O| <= mu = sum_p s_p^2, and the Neumann cutoff leaves
+    # an absolute error of order 1e-13 |s| |c|
+    neumann = neumann_slope(k, obs, lam)
+    assert abs(slope - neumann) <= 1e-10 * max(abs(neumann), depletion_mean(k))
+    # O = 1: the scalar closed form inside (-lambda0, lambda0), refused from
+    # lambda0 on
+    ident = observable_identity(lat)
+    lam = frac * k.lambda0
+    closed = log_mgf_closed(k, lam)
+    assert abs(log_mgf_det(k, ident, [lam])[0][0] - closed) <= 1e-12 * max(1.0, abs(closed))
+    for edge in (k.lambda0, k.lambda0 * (1.0 + abs(frac))):
+        with pytest.raises(ValueError, match="exact domain"):
+            log_mgf_det(k, ident, [edge])
+
+
+def test_log_mgf_det_at_zero_and_lattice_check():
+    k = desk_kernel()
+    obs = observable_random(DESK, seed=7, ensemble="hermitian")
+    vals, slopes = log_mgf_det(k, obs, [0.0, 0.3])
+    assert vals[0] == 0.0
+    assert slopes[0] == pytest.approx(observable_mean(k, obs), rel=1e-12)
+    other = observable_random(lattice_from_vectors([(1, 0, 0), (0, 0, 1)]), seed=7)
+    with pytest.raises(ValueError, match="different lattices"):
+        log_mgf_det(k, other, [0.3])
 
 
 def per_mode_closed(k, tau, lam):
