@@ -24,7 +24,7 @@ from . import __version__
 from . import tails as tailsmod
 from .fockoracle import (bch_check, bogoliubov_action_defect, build_space,
                          mgf_oracle)
-from .genfun import (QuadratureSpec, cumulants,
+from .genfun import (QuadratureSpec, QuadratureStats, cumulants,
                      fourth_central_printed_combination, log_mgf_closed,
                      log_mgf_grid)
 from .lattice import build_lattice, lattice_from_vectors
@@ -40,6 +40,10 @@ EXIT_ORACLE = 4
 EXIT_INTERNAL = 5
 
 _CSV_OBS_MODE_CAP = 64
+# The largest cube a config may ask for: (2*100 + 1)^3 - 1 = 8.1 M modes,
+# where `moments` already peaks near 1.4 GiB.  Memory grows as cutoff_m^3,
+# so a larger cutoff is refused before anything is allocated.
+_CUTOFF_M_CAP = 100
 _DESK_VECTORS = {1: [(1, 0, 0)], 2: [(1, 0, 0), (0, 1, 0)]}
 
 
@@ -145,8 +149,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     if convention not in ("paper", "standard"):
         raise ConfigError(f"convention must be 'paper' or 'standard', got {convention!r}")
     cutoff_m = _int(raw.get("cutoff_m"), "cutoff_m")
-    if cutoff_m < 1:
-        raise ConfigError("cutoff_m must be >= 1")
+    if not 1 <= cutoff_m <= _CUTOFF_M_CAP:
+        raise ConfigError(f"cutoff_m must be in 1..{_CUTOFF_M_CAP} (got {cutoff_m})")
 
     grid = _section(raw, "lambda_grid", {"min": -0.5, "max": 0.5, "count": 11})
     lmin = _float(grid.get("min"), "lambda_grid.min")
@@ -159,6 +163,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     quad = QuadratureSpec(tol=_float(q.get("tol", 1e-10), "quadrature.tol"),
                           max_panels=_int(q.get("max_panels", 200),
                                           "quadrature.max_panels"))
+    if not quad.tol > 0.0 or quad.max_panels < 1:
+        raise ConfigError(f"quadrature needs tol > 0 and max_panels >= 1 (got "
+                          f"tol={quad.tol!r}, max_panels={quad.max_panels})")
 
     obs = _section(raw, "observable", {"kind": "none"})
     if obs.get("kind") not in ("none", "identity", "csv", "random"):
@@ -302,21 +309,27 @@ def cmd_scattering(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _scalar_grid(cfg: RunConfig, k: SpectrumKernel, warnings: list) -> list:
-    """(lambda, quadrature Lambda, closed-form Lambda) on the clipped grid."""
+def _scalar_grid(cfg: RunConfig, k: SpectrumKernel,
+                 warnings: list) -> tuple[list, dict]:
+    """(lambda, quadrature Lambda, closed-form Lambda) on the clipped grid,
+    and the meta lines quad_evals and quad_abserr_max of its quadrature."""
     lams = _lambda_grid(cfg, k.lambda0, warnings)
-    return [(float(lam), float(qv), log_mgf_closed(k, float(lam)))
-            for lam, qv in zip(lams, log_mgf_grid(k, lams, cfg.quadrature))]
+    stats = QuadratureStats()
+    quad = log_mgf_grid(k, lams, cfg.quadrature, stats)
+    rows = [(float(lam), float(qv), log_mgf_closed(k, float(lam)))
+            for lam, qv in zip(lams, quad)]
+    return rows, {"quad_evals": stats.evals,
+                  "quad_abserr_max": stats.abserr_max}
 
 
 def cmd_genfun(cfg: RunConfig) -> int:
     warnings: list = []
     k = _cube_kernel(cfg)
-    rows = [[lam, qv, cv, abs(qv - cv), math.exp(cv)]
-            for lam, qv, cv in _scalar_grid(cfg, k, warnings)]
+    grid, quad_meta = _scalar_grid(cfg, k, warnings)
+    rows = [[lam, qv, cv, abs(qv - cv), math.exp(cv)] for lam, qv, cv in grid]
     _emit(cfg, "genfun",
           ["lambda", "log_mgf_quadrature", "log_mgf_closed", "abs_diff", "mgf"],
-          rows, {"lambda0": k.lambda0, "a16pi": k.a16pi}, warnings)
+          rows, {"lambda0": k.lambda0, "a16pi": k.a16pi, **quad_meta}, warnings)
     return EXIT_OK
 
 
@@ -380,14 +393,15 @@ def cmd_observable(cfg: RunConfig) -> int:
         # quadrature, checked against the closed form at every grid point
         k = _cube_kernel(cfg)
         mu_o = depletion_mean(k)
-        for lam, qv, cv in _scalar_grid(cfg, k, warnings):
+        grid, quad_meta = _scalar_grid(cfg, k, warnings)
+        for lam, qv, cv in grid:
             if abs(qv - cv) > 1e-8 * max(1.0, abs(cv)):
                 raise ArithmeticError(f"quadrature disagrees with the closed "
                                       f"form at lambda={lam:.9g}")
             rows.append([lam, qv, mu_o, k.lambda0, abs(qv - cv), 0.0, 0.0])
         _emit(cfg, "observable", columns, rows,
-              {"lambda0": k.lambda0, "a16pi": k.a16pi, "observable": "identity"},
-              warnings)
+              {"lambda0": k.lambda0, "a16pi": k.a16pi, "observable": "identity",
+               **quad_meta}, warnings)
         return EXIT_OK
 
     if kind == "random":

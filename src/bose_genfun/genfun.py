@@ -4,7 +4,9 @@ Two equivalent evaluations of Lambda(lambda) are kept side by side:
 
 * the integral form, integrating the per-mode expression
   c^2 s^2 [2 c^2 (cosh 2k - 1) - e^{-2k} + 1] / [1 - 2 c^2 s^2 (cosh 2k - 1)]
-  plus lambda * mu, by adaptive quadrature;
+  plus lambda * mu, by adaptive quadrature.  The expression depends on the
+  mode only through nu, so integrand_diagonal evaluates it once per shell of
+  SpectrumKernel.shells and weights it by the shell's mode count;
 
 * the closed product form Lambda = -1/2 sum_p log(c_p^2 - e^{2 lambda} s_p^2),
   which follows per mode from the factorization
@@ -15,7 +17,9 @@ against it.  Both the closed form and the cumulants come from the one
 closed-form engine spectrum.log_mgf_derivatives: per mode,
 g(lambda) = e^{2l} s^2 / (c^2 - e^{2l} s^2) satisfies g' = 2g + 2g^2, so
 every derivative of Lambda is an exact integer polynomial in g.  Every
-quadrature goes through _quad, which raises on QUADPACK non-convergence.
+quadrature goes through _quad, which raises on QUADPACK non-convergence
+and can tally QUADPACK's evaluation counts and error estimates in a
+QuadratureStats.
 """
 
 from __future__ import annotations
@@ -49,27 +53,40 @@ class CumulantSet:
 _ORDER_CAP = 12
 
 
-def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None) -> float:
-    """int_lo^hi f by QUADPACK; ArithmeticError if it reports non-convergence."""
+@dataclass
+class QuadratureStats:
+    """QUADPACK diagnostics accumulated over the integrals of one grid:
+    integrand evaluations and the largest absolute error estimate."""
+
+    evals: int = 0
+    abserr_max: float = 0.0
+
+
+def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None,
+          stats: QuadratureStats | None = None) -> float:
+    """int_lo^hi f by QUADPACK; ArithmeticError if it reports non-convergence.
+    Its evaluation count and error estimate are added to stats, if given."""
     quad = quad or QuadratureSpec()
-    val, _, _, *tail = scipy.integrate.quad(
+    val, abserr, info, *tail = scipy.integrate.quad(
         f, lo, hi, epsabs=quad.tol, epsrel=quad.tol, limit=quad.max_panels,
         full_output=1)
     if tail:  # QUADPACK appended a warning; its first line names the cause
         raise ArithmeticError(f"quadrature on [{lo:.9g}, {hi:.9g}] did not "
                               f"converge: {tail[0].splitlines()[0]}")
+    if stats is not None:
+        stats.evals += int(info["neval"])
+        stats.abserr_max = max(stats.abserr_max, float(abserr))
     return float(val)
 
 
 def integrand_diagonal(k: SpectrumKernel, kappa: float) -> float:
-    """Sum over modes of the printed integrand at kappa."""
+    """Sum over modes of the printed integrand at kappa, one term per shell."""
     _check_domain(k, kappa)
-    s2 = k.s * k.s
-    c2 = k.c * k.c
-    ch = math.cosh(2.0 * kappa) - 1.0
-    num = c2 * s2 * (2.0 * c2 * ch - math.expm1(-2.0 * kappa))
-    den = 1.0 - 2.0 * c2 * s2 * ch
-    return float(np.sum(num / den))
+    sh = k.shells
+    ch2 = 2.0 * (math.cosh(2.0 * kappa) - 1.0)
+    c2s2 = sh.c2 * sh.s2
+    num = c2s2 * (sh.c2 * ch2 - math.expm1(-2.0 * kappa))
+    return float(sh.mult @ (num / (1.0 - c2s2 * ch2)))
 
 
 def log_mgf(k: SpectrumKernel, lam: float, quad: QuadratureSpec | None = None) -> float:
@@ -83,8 +100,10 @@ def log_mgf_closed(k: SpectrumKernel, lam: float) -> float:
 
 
 def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
-                 quad: QuadratureSpec | None = None) -> np.ndarray:
-    """Quadrature Lambda on a sorted grid, integrating each gap only once."""
+                 quad: QuadratureSpec | None = None,
+                 stats: QuadratureStats | None = None) -> np.ndarray:
+    """Quadrature Lambda on a sorted grid, integrating each gap only once;
+    the QUADPACK diagnostics of every gap go to stats, if given."""
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0:
         return np.zeros(0)
@@ -99,7 +118,8 @@ def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
         # walk outward from 0 so each inter-point gap is integrated once
         prev_x, prev_v = 0.0, 0.0
         for i in indices:
-            prev_v += _quad(lambda x: integrand_diagonal(k, x), prev_x, pts[i], quad)
+            prev_v += _quad(lambda x: integrand_diagonal(k, x), prev_x, pts[i],
+                            quad, stats)
             prev_x = pts[i]
             vals[i] = prev_v
 

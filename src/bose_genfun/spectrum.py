@@ -5,6 +5,12 @@ For a16pi >= 0 every nu_p is <= 0 and |nu_p| decreases with |p|^2, so the
 hyperbolic arrays s = sinh(nu), c = cosh(nu), t = tanh(nu) are well behaved
 and s is square-summable on any cube truncation.
 
+Every per-mode quantity depends on p only through nu_p, so a kernel also
+carries a shell view (SpectrumKernel.shells): the distinct nu values with
+their integer multiplicities.  On the cube these are the |n|^2 shells (178
+of them for the 9260 modes of cutoff 10).  The quadrature integrand sums
+over shells; the closed-form engine below still sums over modes.
+
 lambda0 is the half-width of the moment-generating-function domain: the
 smallest lambda > 0 at which a per-mode denominator c_p^2 - e^{2 lambda} s_p^2
 reaches zero, i.e. min_p -log|t_p| (infinite when all nu vanish).
@@ -17,10 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import Lattice, p_squared_array
+
+
+class Shells(NamedTuple):
+    """Distinct nu values (ascending), their mode counts, sinh^2 and cosh^2."""
+
+    nu: np.ndarray
+    mult: np.ndarray
+    s2: np.ndarray
+    c2: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +53,13 @@ class SpectrumKernel:
     @property
     def size(self) -> int:
         return self.nu.shape[0]
+
+    @cached_property
+    def shells(self) -> Shells:
+        """The kernel's modes grouped by nu, built on first use."""
+        nu, mult = np.unique(self.nu, return_counts=True)
+        s, c = np.sinh(nu), np.cosh(nu)
+        return Shells(nu=nu, mult=mult, s2=s * s, c2=c * c)
 
 
 def nu_of(p_squared: float, a16pi: float) -> float:

@@ -170,14 +170,20 @@ def test_observable_identity_is_genfun_lambda(tmp_path):
     body = {"potential": {"kind": "square_well", "v": 1.0, "radius": 0.1},
             "cutoff_m": 4, "observable": {"kind": "identity"},
             "lambda_grid": {"min": -0.5, "max": 0.5, "count": 5}}
-    reports = {cmd: parse_csv(run(tmp_path, cmd, body, out_name=f"{cmd}.txt")[1])[2]
+    reports = {cmd: parse_csv(run(tmp_path, cmd, body, out_name=f"{cmd}.txt")[1])
                for cmd in ("observable", "genfun", "moments")}
-    obs, gen = reports["observable"], reports["genfun"]
+    (obs_meta, _, obs), (gen_meta, _, gen) = reports["observable"], reports["genfun"]
     assert len(obs) == len(gen) == 5
     for o, g in zip(obs, gen):
         assert (o["lambda"], o["log_mgf_o"], o["fp_residual"]) \
             == (g["lambda"], g["log_mgf_quadrature"], g["abs_diff"])
-        assert o["mean_o"] == reports["moments"][0]["mean"]
+        assert o["mean_o"] == reports["moments"][2][0]["mean"]
+    # the same quadrature, so the same QUADPACK diagnostics: four nonzero
+    # gaps of one 21-point Gauss-Kronrod panel each
+    for key in ("quad_evals", "quad_abserr_max"):
+        assert obs_meta[key] == gen_meta[key]
+    assert int(gen_meta["quad_evals"]) == 4 * 21
+    assert 0.0 < float(gen_meta["quad_abserr_max"]) <= 1e-10
 
 
 def test_observable_identity_disagreement_exits_3(tmp_path, capsys):
@@ -349,15 +355,27 @@ def test_config_error_paths(tmp_path):
     {"observable": {"kind": "csv", "path": 7}},
     {"output": {"path": 5}},
     {"observable": {"kind": "random", "ensemble": "ginibre"}},
+    {"quadrature": {"tol": 0}},
+    {"quadrature": {"tol": -1e-10}},
+    {"quadrature": {"max_panels": 0}},
 ], ids=["output-not-object", "quadrature-not-object", "seed-string",
         "pairs-string", "negative-a", "nan-a", "fractional-cutoff",
         "bool-cutoff", "nan-grid-min", "int-csv-path", "int-output-path",
-        "unknown-ensemble"])
+        "unknown-ensemble", "zero-tol", "negative-tol", "zero-panels"])
 def test_mistyped_config_exits_2(tmp_path, capsys, change):
     code, text = run(tmp_path, "genfun", dict(BASE, **change))
     assert code == 2 and text is None
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cutoff_m", [cli._CUTOFF_M_CAP + 1, 400])
+def test_cutoff_above_cap_exits_2(tmp_path, capsys, cutoff_m):
+    # refused in parse_config, before the cube is allocated
+    code, text = run(tmp_path, "moments", dict(BASE, cutoff_m=cutoff_m))
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cutoff_m") and err.count("\n") == 1
 
 
 def test_observable_checks_the_neumann_slope(tmp_path, capsys, monkeypatch):

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bose_genfun import genfun
 from bose_genfun.fockoracle import build_space, mgf_oracle
 from bose_genfun.genfun import (
     QuadratureSpec,
+    QuadratureStats,
     cumulants,
     fourth_central_printed_combination,
     integrand_diagonal,
@@ -50,6 +52,59 @@ def test_integrand_identity_per_mode(nu, u):
     assert abs(per_mode - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
+def cube_shell_counts(m: int) -> np.ndarray:
+    """Modes per |n|^2 = 0..3m^2 on the cube ||n||_inf <= m without the
+    origin, from the three-fold convolution of the 1-D square counts."""
+    sq = np.zeros(m * m + 1, dtype=np.int64)
+    for x in range(-m, m + 1):
+        sq[x * x] += 1
+    counts = np.convolve(np.convolve(sq, sq), sq)
+    counts[0] = 0
+    return counts
+
+
+_VECTORS = st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any),
+                    min_size=1, max_size=4)
+_A16PI = st.floats(16.0 * math.pi * 0.005, 16.0 * math.pi * 0.3)
+
+
+@st.composite
+def kernels(draw):
+    kind = draw(st.sampled_from(["cube", "desk", "nu"]))
+    if kind == "cube":
+        return kind, build_kernel(build_lattice(draw(st.integers(1, 6))),
+                                  draw(_A16PI))
+    lat = lattice_from_vectors(draw(_VECTORS))
+    if kind == "desk":
+        return kind, build_kernel(lat, draw(_A16PI))
+    # one nu per pair {p, -p}, drawn from a small set so that values repeat
+    values = st.sampled_from([-0.8, -0.3, -0.05]) | st.floats(-1.5, -1e-4)
+    nu = np.empty(lat.size)
+    for i, j in lat.pairs:
+        nu[i] = nu[j] = draw(values)
+    return kind, kernel_from_nu(lat, nu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel=kernels(), u=st.floats(-0.95, 0.95))
+def test_shell_integrand_matches_per_mode_sum(kernel, u):
+    kind, k = kernel
+    kap = u * k.lambda0
+    s2, c2 = k.s * k.s, k.c * k.c
+    ch = math.cosh(2.0 * kap) - 1.0
+    per_mode = float(np.sum(c2 * s2 * (2.0 * c2 * ch - math.expm1(-2.0 * kap))
+                            / (1.0 - 2.0 * c2 * s2 * ch)))
+    # every term has the sign of kappa, so the sum has no cancellation
+    assert abs(integrand_diagonal(k, kap) - per_mode) <= 1e-13 * abs(per_mode)
+    sh = k.shells
+    assert int(np.sum(sh.mult)) == k.size
+    if kind == "cube":
+        counts = cube_shell_counts(k.lattice.cutoff_m)
+        assert sh.nu.size == np.count_nonzero(counts)
+        # nu increases with |n|^2, so ascending nu lists the shells in order
+        assert np.array_equal(sh.mult, counts[counts > 0])
+
+
 def test_integrand_vanishes_at_zero():
     k = build_kernel(build_lattice(2), A16PI)
     assert integrand_diagonal(k, 0.0) == 0.0
@@ -70,6 +125,18 @@ def test_grid_matches_pointwise_and_skips_nothing():
     for x, got in zip(lams, grid):
         assert got == pytest.approx(log_mgf(k, float(x)), abs=1e-11)
     assert log_mgf_grid(k, np.array([])).size == 0
+
+
+def test_grid_stats_count_every_integrand_call(monkeypatch):
+    k = build_kernel(build_lattice(2), A16PI)
+    calls = []
+    real = genfun.integrand_diagonal
+    monkeypatch.setattr(genfun, "integrand_diagonal",
+                        lambda k, x: calls.append(x) or real(k, x))
+    stats = QuadratureStats()
+    log_mgf_grid(k, np.array([-0.4, 0.0, 0.3, 0.6]), QuadratureSpec(), stats)
+    assert stats.evals == len(calls) > 0
+    assert 0.0 < stats.abserr_max <= 1e-10
 
 
 def test_quadrature_non_convergence_raises():
