@@ -22,8 +22,6 @@ import numpy as np
 
 from . import __version__
 from . import tails as tailsmod
-from .fockoracle import (bch_check, bogoliubov_action_defect, build_space,
-                         mgf_oracle)
 from .genfun import (QuadratureSpec, QuadratureStats, cumulants,
                      fourth_central_printed_combination, log_mgf_closed,
                      log_mgf_grid)
@@ -444,6 +442,10 @@ def cmd_observable(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
+    # the Fock oracle's exponentials need scipy; no other command loads it here
+    from .fockoracle import (bch_check, bogoliubov_action_defect, build_space,
+                             mgf_oracle)
+
     if cfg.oracle is None:
         raise ConfigError("the oracle command needs an 'oracle' config section")
     try:

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .spectrum import (SpectrumKernel, _check_domain, depletion_mean,
                        log_mgf_derivatives)
@@ -65,7 +64,11 @@ class QuadratureStats:
 def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None,
           stats: QuadratureStats | None = None) -> float:
     """int_lo^hi f by QUADPACK; ArithmeticError if it reports non-convergence.
-    Its evaluation count and error estimate are added to stats, if given."""
+    Its evaluation count and error estimate are added to stats, if given.
+    scipy is imported here, so the closed form and the cumulants never
+    load it."""
+    import scipy.integrate
+
     quad = quad or QuadratureSpec()
     val, abserr, info, *tail = scipy.integrate.quad(
         f, lo, hi, epsabs=quad.tol, epsrel=quad.tol, limit=quad.max_panels,

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import Lattice
 from .spectrum import SpectrumKernel
@@ -59,8 +58,7 @@ class ObservableKernel:
 
     @cached_property
     def _eigsys(self):
-        w, u = scipy.linalg.eigh(self.o)
-        return w, u
+        return np.linalg.eigh(self.o)
 
     @property
     def size(self) -> int:

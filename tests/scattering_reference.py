@@ -56,6 +56,7 @@ def _integrate(pot, r_max, n_grid):
             return float(pot.evaluate(np.minimum(rr, edge)))
 
         r_in, u_in, du_edge = _rk4_segment(v_inside, 0.0, 0.0, 1.0, edge, n_in)
+        r_in[-1] = edge  # n_in * h can round past the edge
         r_out, u_out, _ = _rk4_segment(lambda rr: 0.0, edge, u_in[-1],
                                        du_edge, r_max, n_out)
         return np.concatenate([r_in, r_out[1:]]), np.concatenate([u_in, u_out[1:]])

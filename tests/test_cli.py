@@ -3,13 +3,16 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bose_genfun import cli
+from bose_genfun import cli, fockoracle
 from bose_genfun.cli import main
 from bose_genfun.fockoracle import mgf_oracle
 from bose_genfun.lattice import build_lattice
@@ -295,7 +298,8 @@ def test_oracle_deep_one_pair_space_passes(tmp_path, monkeypatch):
     body = {"potential": {"kind": "square_well", "v": 1.0, "radius": 0.1},
             "cutoff_m": 10, "oracle": {"pairs": 1, "n_max": 30}}
     calls = []
-    monkeypatch.setattr(cli, "mgf_oracle",
+    # cmd_oracle imports mgf_oracle from fockoracle when it runs
+    monkeypatch.setattr(fockoracle, "mgf_oracle",
                         lambda *a, **kw: calls.append(a) or mgf_oracle(*a, **kw))
     code, text = run(tmp_path, "oracle", body, seed=0)
     assert code == 0
@@ -495,3 +499,33 @@ def test_seventeen_digit_floats(tmp_path):
     # round trip through the printed representation is exact
     val = float(rows[0]["log_mgf_closed"])
     assert f"{val:.17g}" == rows[0]["log_mgf_closed"]
+
+
+# Run in a fresh interpreter: the closed-form, scattering and desk-observable
+# commands must leave scipy unloaded; genfun (QUADPACK) and oracle (the Fock
+# exponentials) load it where they use it and still run in the same process.
+_SCIPY_PROBE = """
+import json, sys
+from bose_genfun.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+run = lambda cmd: main([cmd, "--config", cfg, "--out", out])
+codes = {cmd: run(cmd) for cmd in ("moments", "tails", "scattering", "observable")}
+lean = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.update({cmd: run(cmd) for cmd in ("genfun", "oracle")})
+print(json.dumps({"codes": codes, "lean": lean, "loaded": "scipy" in sys.modules}))
+"""
+
+
+def test_scipy_loads_only_for_quadrature_and_the_oracle(tmp_path):
+    cfg = write_cfg(tmp_path, README_CONFIG)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, cfg, str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    got = json.loads(proc.stdout)
+    assert got["codes"] == dict.fromkeys(
+        ("moments", "tails", "scattering", "observable", "genfun", "oracle"), 0)
+    assert got["lean"] == []
+    assert got["loaded"]

@@ -11,13 +11,17 @@ in the weak-coupling (Born) limit.
 """
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import simpson
 
 from bose_genfun.scattering import (
     PotentialSpec,
+    _simpson,
     scattering_length,
     solve_scattering,
 )
@@ -28,8 +32,15 @@ GAUSS = PotentialSpec(kind="gaussian_truncated", v=1.0, width=0.05, radius=0.1)
 
 
 def square_well_closed_form(v: float, radius: float) -> float:
-    kappa = math.sqrt(0.5 * v)
-    return radius - math.tanh(kappa * radius) / kappa
+    """R - tanh(kappa R) / kappa in 60-digit decimal arithmetic, so the
+    cancellation of a weak well (down to R (kappa R)^2 / 3) costs no float
+    digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v, radius = Decimal(v), Decimal(radius)
+        kappa = (v / 2).sqrt()
+        e = (2 * kappa * radius).exp()
+        return float(radius - (e - 1) / (e + 1) / kappa)
 
 
 def test_square_well_against_closed_form():
@@ -42,13 +53,16 @@ def test_square_well_against_closed_form():
 
 
 # The benchmark workloads draw v in [0.5, 2], radius in [0.08, 0.12] and
-# width/radius in [1/3, 3/4]; these ranges reach past them on both sides
-# while keeping the scalar reference's accepted grid at 16384 steps or fewer.
-@settings(max_examples=8, deadline=None)
-@given(gaussian=st.booleans(), v=st.floats(0.05, 8.0),
+# width/radius in [1/3, 3/4]; these ranges reach past them on both sides,
+# down to weak wells whose a_std is 1e-8 of R, while keeping the scalar
+# reference's accepted grid at 16384 steps or fewer.
+@settings(max_examples=12, deadline=None)
+@given(gaussian=st.booleans(), log10_v=st.floats(-6.0, math.log10(8.0)),
        radius=st.floats(0.03, 0.2), width_frac=st.floats(0.2, 1.0),
        window=st.floats(2.0, 6.0))
-def test_step_matrices_match_scalar_reference(gaussian, v, radius, width_frac, window):
+def test_step_matrices_match_scalar_reference(gaussian, log10_v, radius,
+                                              width_frac, window):
+    v = 10.0 ** log10_v
     pot = (PotentialSpec(kind="gaussian_truncated", v=v, radius=radius,
                          width=width_frac * radius) if gaussian else
            PotentialSpec(kind="square_well", v=v, radius=radius))
@@ -59,15 +73,61 @@ def test_step_matrices_match_scalar_reference(gaussian, v, radius, width_frac, w
     assert sol.a_paper == pytest.approx(ref.a_paper, rel=1e-11)
     assert sol.residual <= 1e-10
     if not gaussian:
-        # a_std = R - u(R)/u'(R) cancels down to about R (kappa R)^2 / 3, so
-        # besides rel 1e-10 the check allows that subtraction's rounding
-        # floor, 2^7 ulps of R; it dominates only for (kappa R)^2 < 1e-3
+        # R - u(R)/u'(R) cancels down to about R (kappa R)^2 / 3; past a 2^5
+        # cancellation a_std comes from the volume integral, so it keeps
+        # its relative accuracy however weak the well
         exact = square_well_closed_form(v, radius)
-        assert abs(sol.a_std - exact) <= 1e-10 * exact + 2.0**-45 * radius
+        assert abs(sol.a_std - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("v", [1e-6, 1e-4, 1e-2])
+def test_weak_well_a_std_is_relatively_accurate(v):
+    # at v = 1e-4, R = 0.1 the edge-state subtraction alone is 6.2e-9 off
+    for convention in ("standard", "paper"):
+        got = scattering_length(PotentialSpec(kind="square_well", v=v, radius=0.1),
+                                convention=convention)
+        want = square_well_closed_form(v, 0.1)
+        if convention == "paper":
+            want *= 8.0 * math.pi
+        assert abs(got - want) <= 1e-13 * want
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(3, 600), span=st.floats(0.01, 10.0),
+       freq=st.floats(2.0 * math.pi, 40.0), phase=st.floats(0.0, 2.0 * math.pi),
+       shift=st.floats(-0.9, 0.9))
+def test_simpson_matches_scipy(points, span, freq, phase, shift):
+    # uniform nodes built as the solver builds them, odd and even counts;
+    # the integrand runs over a full period or more, so it changes sign
+    x = np.arange(points) * (span / (points - 1))
+    y = np.sin(freq * x / span + phase) + shift
+    want = float(simpson(y, x=x))
+    # a relative comparison needs an integral that does not cancel away
+    assume(abs(want) >= 1e-3 * float(simpson(np.abs(y), x=x)))
+    assert _simpson(y, x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 0.0, 5e-324],
+                               [0.0, 0.0, 0.0, 5e-324],
+                               [0.0, 0.5, 0.5, 1.0, 1.0, 2.0]])
+def test_simpson_follows_scipy_on_repeated_nodes(x):
+    # a support radius of 5e-324 makes the solver's step underflow to 0;
+    # scipy then weights the pairs with a zero spacing by 0, and warns of
+    # nothing
+    x = np.array(x)
+    y = np.cos(x) + 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _simpson(y, x)
+    assert got == float(simpson(y, x=x))
 
 
 def test_volume_integral_is_8pi_times_asymptote():
-    for pot in (SQUARE, GAUSS):
+    # R / a_std is about 600 for SQUARE, so its a_std is a_paper / (8 pi);
+    # the strong well reads a_std from the edge state
+    strong = PotentialSpec(kind="square_well", v=400.0, radius=0.1)
+    assert 0.1 < 32.0 * square_well_closed_form(400.0, 0.1)
+    for pot in (SQUARE, GAUSS, strong):
         sol = solve_scattering(pot, r_max=0.4, n_grid=4096)
         assert sol.a_paper == pytest.approx(8.0 * math.pi * sol.a_std, rel=1e-6)
 
