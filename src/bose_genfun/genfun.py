@@ -6,7 +6,8 @@ Two equivalent evaluations of Lambda(lambda) are kept side by side:
   c^2 s^2 [2 c^2 (cosh 2k - 1) - e^{-2k} + 1] / [1 - 2 c^2 s^2 (cosh 2k - 1)]
   plus lambda * mu, by adaptive quadrature.  The expression depends on the
   mode only through nu, so integrand_diagonal evaluates it once per shell of
-  SpectrumKernel.shells and weights it by the shell's mode count;
+  SpectrumKernel.shells and weights it by the shell's mode count, for a
+  whole array of nodes in one product;
 
 * the closed product form Lambda = -1/2 sum_p log(c_p^2 - e^{2 lambda} s_p^2),
   which follows per mode from the factorization
@@ -16,10 +17,14 @@ The closed form is the oracle of record; the integral form is tested
 against it.  Both the closed form and the cumulants come from the one
 closed-form engine spectrum.log_mgf_derivatives: per mode,
 g(lambda) = e^{2l} s^2 / (c^2 - e^{2l} s^2) satisfies g' = 2g + 2g^2, so
-every derivative of Lambda is an exact integer polynomial in g.  Every
-quadrature goes through _quad, which raises on QUADPACK non-convergence
-and can tally QUADPACK's evaluation counts and error estimates in a
-QuadratureStats.
+every derivative of Lambda is an exact integer polynomial in g.
+
+The quadrature is QUADPACK's 21-point Gauss-Kronrod rule and error
+estimate (qk21) with qag's worst-panel bisection and no extrapolation,
+written in numpy: log_mgf_grid integrates every gap of a grid in
+lock-step, one integrand call per refinement round, raises ArithmeticError
+when a gap runs out of panels, and tallies node evaluations and error
+estimates in a QuadratureStats.
 """
 
 from __future__ import annotations
@@ -54,47 +59,103 @@ _ORDER_CAP = 12
 
 @dataclass
 class QuadratureStats:
-    """QUADPACK diagnostics accumulated over the integrals of one grid:
-    integrand evaluations and the largest absolute error estimate."""
+    """Quadrature diagnostics accumulated over the integrals of one grid:
+    integrand evaluations and the largest per-gap absolute error estimate."""
 
     evals: int = 0
     abserr_max: float = 0.0
 
 
-def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None,
-          stats: QuadratureStats | None = None) -> float:
-    """int_lo^hi f by QUADPACK; ArithmeticError if it reports non-convergence.
-    Its evaluation count and error estimate are added to stats, if given.
-    scipy is imported here, so the closed form and the cumulants never
-    load it."""
-    import scipy.integrate
+# QUADPACK's qk21 constants (Piessens et al., QUADPACK, 1983): the 21-point
+# Kronrod abscissae on [0, 1], descending, with the 10-point Gauss nodes at
+# odd indices, and their Kronrod and Gauss weights.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_NODE_BLOCK = 1 << 15  # nodes x shells entries in one block of integrand_diagonal
 
-    quad = quad or QuadratureSpec()
-    val, abserr, info, *tail = scipy.integrate.quad(
-        f, lo, hi, epsabs=quad.tol, epsrel=quad.tol, limit=quad.max_panels,
-        full_output=1)
-    if tail:  # QUADPACK appended a warning; its first line names the cause
-        raise ArithmeticError(f"quadrature on [{lo:.9g}, {hi:.9g}] did not "
-                              f"converge: {tail[0].splitlines()[0]}")
-    if stats is not None:
-        stats.evals += int(info["neval"])
-        stats.abserr_max = max(stats.abserr_max, float(abserr))
-    return float(val)
+
+def _qk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QUADPACK's qk21 on every panel [a_i, b_i] at once: the 21-point
+    Kronrod value and its error estimate resasc min(1, (200 |K - G| /
+    resasc)^1.5), floored at 50 eps resabs.  f maps an array of nodes to
+    integrand values of the same shape and is called once; the sums run in
+    QUADPACK's order."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth[:, None] * _XGK[:10]
+    fv = f(np.concatenate((centr[:, None], centr[:, None] - absc,
+                           centr[:, None] + absc), axis=1))
+    fc, fv1, fv2 = fv[:, 0], fv[:, 1:11], fv[:, 11:]
+    resg = np.zeros(a.size)
+    resk = _WGK[10] * fc
+    resabs = np.abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss nodes first
+        fsum = fv1[:, j] + fv2[:, j]
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * np.abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh)
+                                     + np.abs(fv2[:, j] - reskh))
+    dhlgth = np.abs(hlgth)
+    resabs, resasc = resabs * dhlgth, resasc * dhlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scale = (resasc != 0.0) & (abserr != 0.0)
+    ratio = 200.0 * abserr[scale] / resasc[scale]
+    abserr[scale] = resasc[scale] * np.minimum(1.0, ratio ** 1.5)
+    floor = resabs > _TINY / (50.0 * _EPS)
+    abserr[floor] = np.maximum(50.0 * _EPS * resabs[floor], abserr[floor])
+    return resk * hlgth, abserr
 
 
-def integrand_diagonal(k: SpectrumKernel, kappa: float) -> float:
-    """Sum over modes of the printed integrand at kappa, one term per shell."""
-    _check_domain(k, kappa)
+def integrand_diagonal(k: SpectrumKernel, kappa):
+    """Sum over modes of the printed integrand at each kappa (any shape),
+    one term per shell: a (nodes x shells) @ mult product, taken in blocks
+    of nodes so the temporaries stay small.  cosh and expm1 come from math,
+    not numpy: for k < 0, c^2 (cosh 2k - 1) and e^{-2k} - 1 cancel, and
+    numpy's vectorised versions can differ from math's in the last bit."""
+    kappa = np.asarray(kappa, dtype=float)
+    outside = ~(np.abs(kappa) < k.lambda0)
+    if outside.any():
+        _check_domain(k, float(kappa[outside].flat[0]))
     sh = k.shells
-    ch2 = 2.0 * (math.cosh(2.0 * kappa) - 1.0)
     c2s2 = sh.c2 * sh.s2
-    num = c2s2 * (sh.c2 * ch2 - math.expm1(-2.0 * kappa))
-    return float(sh.mult @ (num / (1.0 - c2s2 * ch2)))
-
-
-def log_mgf(k: SpectrumKernel, lam: float, quad: QuadratureSpec | None = None) -> float:
-    """Lambda(lambda) by adaptive quadrature of the diagonal integrand."""
-    return float(log_mgf_grid(k, np.array([lam]), quad)[0])
+    mult = sh.mult.astype(float)
+    flat = kappa.reshape(-1)
+    out = np.empty(flat.size)
+    step = max(1, _NODE_BLOCK // c2s2.size)
+    for i in range(0, flat.size, step):
+        block = flat[i:i + step].tolist()
+        ch2 = np.array([2.0 * (math.cosh(2.0 * x) - 1.0) for x in block])
+        num = np.multiply.outer(ch2, sh.c2)
+        num -= np.array([math.expm1(-2.0 * x) for x in block])[:, None]
+        num *= c2s2
+        den = np.multiply.outer(ch2, c2s2)
+        np.subtract(1.0, den, out=den)
+        num /= den
+        out[i:i + step] = num @ mult
+    return out.reshape(kappa.shape)
 
 
 def log_mgf_closed(k: SpectrumKernel, lam: float) -> float:
@@ -102,11 +163,65 @@ def log_mgf_closed(k: SpectrumKernel, lam: float) -> float:
     return log_mgf_derivatives(k, lam, 0)[0]
 
 
+def _integrate_gaps(f, lo: np.ndarray, hi: np.ndarray, quad: QuadratureSpec,
+                    stats: QuadratureStats | None) -> np.ndarray:
+    """int_lo^hi f for every gap, adaptively and in lock-step; f maps an
+    array of nodes to integrand values.
+
+    QUADPACK's qag rule without qags' extrapolation: each round, every gap
+    whose summed error exceeds max(tol, tol |I_gap|) bisects its worst
+    panel, and the halves of all those panels share one integrand call.
+    A gap's area and error are updated as QUADPACK updates them.  A
+    zero-length gap costs nothing; a gap that would need more than
+    quad.max_panels panels raises ArithmeticError.
+    """
+    gaps = np.flatnonzero(lo != hi)  # the gap of each panel
+    pa, pb = lo[gaps], hi[gaps]
+    pres, perr = _qk21(f, pa, pb)
+    area, errsum = np.zeros(lo.size), np.zeros(lo.size)
+    area[gaps], errsum[gaps] = pres, perr
+    evals = 21 * gaps.size
+    active = gaps
+    while True:
+        active = active[errsum[active] > np.maximum(quad.tol,
+                                                    quad.tol * np.abs(area[active]))]
+        if not active.size:
+            break
+        full = active[np.bincount(gaps, minlength=lo.size)[active] >= quad.max_panels]
+        if full.size:
+            g = full[0]
+            raise ArithmeticError(
+                f"quadrature on [{lo[g]:.9g}, {hi[g]:.9g}] did not converge: "
+                f"{quad.max_panels} panels leave an error estimate of {errsum[g]:.3g}")
+        # the worst panel of every gap, in gap order like active
+        order = np.lexsort((-perr, gaps))
+        first = order[np.r_[True, gaps[order][1:] != gaps[order][:-1]]]
+        worst = first[np.isin(gaps[first], active)]
+        a, b = pa[worst], pb[worst]
+        mid = 0.5 * (a + b)
+        res, err = _qk21(f, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        evals += 21 * res.size
+        n = active.size
+        errsum[active] = errsum[active] + (err[:n] + err[n:]) - perr[worst]
+        area[active] = area[active] + (res[:n] + res[n:]) - pres[worst]
+        # the left half takes the bisected panel's place, the right is appended
+        pb[worst], pres[worst], perr[worst] = mid, res[:n], err[:n]
+        gaps = np.concatenate((gaps, active))
+        pa, pb = np.concatenate((pa, mid)), np.concatenate((pb, b))
+        pres, perr = np.concatenate((pres, res[n:])), np.concatenate((perr, err[n:]))
+    if stats is not None:
+        stats.evals += evals
+        stats.abserr_max = max(stats.abserr_max, float(np.max(errsum)))
+    # QUADPACK, too, returns the plain sum of a gap's panel values
+    return np.bincount(gaps, weights=pres, minlength=lo.size)
+
+
 def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
                  quad: QuadratureSpec | None = None,
                  stats: QuadratureStats | None = None) -> np.ndarray:
-    """Quadrature Lambda on a sorted grid, integrating each gap only once;
-    the QUADPACK diagnostics of every gap go to stats, if given."""
+    """Quadrature Lambda on a grid in any order, integrating each gap only
+    once; the evaluation count and the largest per-gap error estimate go to
+    stats, if given."""
     lams = np.asarray(lams, dtype=float)
     if lams.size == 0:
         return np.zeros(0)
@@ -114,22 +229,19 @@ def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
         raise ValueError(f"grid extends outside the MGF domain (-{k.lambda0}, {k.lambda0})")
     order = np.argsort(lams)
     pts = lams[order]
-    mu = depletion_mean(k)
+    # walking outward from 0, each gap ends at a grid point and starts at
+    # its neighbour towards 0 (or at 0), so each gap is integrated once
+    pos = pts >= 0.0
+    lo = np.empty(pts.size)
+    lo[pos] = np.concatenate(([0.0], pts[pos][:-1]))
+    lo[~pos] = np.concatenate((pts[~pos][1:], [0.0]))
+    gap = _integrate_gaps(lambda x: integrand_diagonal(k, x), lo, pts,
+                          quad or QuadratureSpec(), stats)
     vals = np.empty(pts.size)
-
-    def cumulate(indices):
-        # walk outward from 0 so each inter-point gap is integrated once
-        prev_x, prev_v = 0.0, 0.0
-        for i in indices:
-            prev_v += _quad(lambda x: integrand_diagonal(k, x), prev_x, pts[i],
-                            quad, stats)
-            prev_x = pts[i]
-            vals[i] = prev_v
-
-    cumulate([i for i in range(pts.size) if pts[i] >= 0.0])
-    cumulate([i for i in reversed(range(pts.size)) if pts[i] < 0.0])
+    vals[pos] = np.cumsum(gap[pos])
+    vals[~pos] = np.cumsum(gap[~pos][::-1])[::-1]
     out = np.empty(lams.size)
-    out[order] = vals + pts * mu
+    out[order] = vals + pts * depletion_mean(k)
     return out
 
 

@@ -77,10 +77,6 @@ def observable_from_matrix(lattice: Lattice, o) -> ObservableKernel:
     return ObservableKernel(lattice=lattice, o=o)
 
 
-def observable_identity(lattice: Lattice) -> ObservableKernel:
-    return ObservableKernel(lattice=lattice, o=np.eye(lattice.size, dtype=complex))
-
-
 def observable_random(lattice: Lattice, seed: int,
                       ensemble: str = "real-parity") -> ObservableKernel:
     """Seeded random Hermitian observable, spectral norm 1.
@@ -205,11 +201,6 @@ def _source(f: _Factors) -> np.ndarray:
     return a
 
 
-def kernel_A(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> np.ndarray:
-    """The inhomogeneous (source) kernel A_{p,q}(kappa), stabilized form."""
-    return _source(_Factors(k, obs, kappa))
-
-
 def _access(F: np.ndarray, mode: str, neg: np.ndarray) -> np.ndarray:
     if mode == "tilde":
         return F.conj().T[:, neg]
@@ -223,16 +214,6 @@ def _apply(f: _Factors, F: np.ndarray) -> np.ndarray:
     for left, right, mode in f.terms:
         out += left @ _access(F, mode, f.neg) @ right
     return out
-
-
-def apply_D(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
-            F: np.ndarray) -> np.ndarray:
-    """Apply the antilinear map D(kappa) to F, matrix-free in the four-index
-    kernel: three dense products per separable term."""
-    F = np.asarray(F, dtype=complex)
-    if F.shape != (k.size, k.size):
-        raise ValueError("F must be modes x modes")
-    return _apply(_Factors(k, obs, kappa), F)
 
 
 def _bound(f: _Factors) -> float:

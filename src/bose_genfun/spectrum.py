@@ -16,7 +16,7 @@ smallest lambda > 0 at which a per-mode denominator c_p^2 - e^{2 lambda} s_p^2
 reaches zero, i.e. min_p -log|t_p| (infinite when all nu vanish).
 
 log_mgf_derivatives is the one closed-form evaluation of the depletion
-log-MGF and its derivatives; mean, variance, cumulants and Chernoff use it.
+log-MGF and its derivatives; the mean, cumulants and Chernoff use it.
 """
 
 from __future__ import annotations
@@ -60,16 +60,6 @@ class SpectrumKernel:
         nu, mult = np.unique(self.nu, return_counts=True)
         s, c = np.sinh(nu), np.cosh(nu)
         return Shells(nu=nu, mult=mult, s2=s * s, c2=c * c)
-
-
-def nu_of(p_squared: float, a16pi: float) -> float:
-    """Pairing amplitude for one momentum: (1/4) log(p^2/(p^2 + a16pi))."""
-    if p_squared <= 0:
-        raise ValueError("p_squared must be positive")
-    if a16pi < 0:
-        raise ValueError("a16pi must be nonnegative")
-    # log1p form: the argument ratio is 1 + a16pi/p^2 to high relative accuracy
-    return -0.25 * math.log1p(a16pi / p_squared)
 
 
 def _lambda0_from_tanh(t: np.ndarray) -> float:
@@ -157,8 +147,3 @@ def log_mgf_derivatives(k: SpectrumKernel, lam: float, order: int) -> list[float
 def depletion_mean(k: SpectrumKernel) -> float:
     """mu = Lambda'(0) = sum_p sinh^2(nu_p)."""
     return log_mgf_derivatives(k, 0.0, 1)[1]
-
-
-def depletion_variance(k: SpectrumKernel) -> float:
-    """sigma^2 = Lambda''(0) = 2 sum_p sinh^2(nu_p) cosh^2(nu_p)."""
-    return log_mgf_derivatives(k, 0.0, 2)[2]

@@ -25,27 +25,101 @@ nothing from it.
 * A brute-force four-index tensor, a power-iteration estimate of the norm
   of D, and a realified dense solver for F = A + D[F], which also gives a
   third route to Lambda_O.
+* QUADPACK (scipy.integrate.quad) as the reference integrator: the
+  Neumann-quadrature routes above use it, and ``log_mgf_grid_quadpack``
+  walks a grid gap by gap as the package's numpy Gauss-Kronrod pass does,
+  one QUADPACK call per gap.
+* The public wrappers the package does not call itself: ``kernel_A``,
+  ``apply_D``, ``observable_identity`` and the scalar ``log_mgf``.
 """
 
 import math
 
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 
-from bose_genfun.genfun import QuadratureSpec, _quad
+from bose_genfun.genfun import (QuadratureSpec, QuadratureStats,
+                                integrand_diagonal, log_mgf_grid)
 from bose_genfun.observable import (
     _access,
+    _apply,
     _diag,
     _exp_pair,
     _Factors,
+    _source,
     ObservableKernel,
-    apply_D,
     certified_domain,
-    kernel_A,
     observable_mean,
     solve_F,
 )
-from bose_genfun.spectrum import SpectrumKernel
+from bose_genfun.spectrum import SpectrumKernel, depletion_mean
+
+
+def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None,
+          stats: QuadratureStats | None = None) -> float:
+    """int_lo^hi f by QUADPACK; ArithmeticError if it reports non-convergence.
+    Its evaluation count and error estimate are added to stats, if given."""
+    quad = quad or QuadratureSpec()
+    val, abserr, info, *tail = scipy.integrate.quad(
+        f, lo, hi, epsabs=quad.tol, epsrel=quad.tol, limit=quad.max_panels,
+        full_output=1)
+    if tail:  # QUADPACK appended a warning; its first line names the cause
+        raise ArithmeticError(f"quadrature on [{lo:.9g}, {hi:.9g}] did not "
+                              f"converge: {tail[0].splitlines()[0]}")
+    if stats is not None:
+        stats.evals += int(info["neval"])
+        stats.abserr_max = max(stats.abserr_max, float(abserr))
+    return float(val)
+
+
+def log_mgf_grid_quadpack(k: SpectrumKernel, lams,
+                          quad: QuadratureSpec | None = None,
+                          stats: QuadratureStats | None = None) -> np.ndarray:
+    """genfun.log_mgf_grid with one QUADPACK call per gap: the same walk
+    outward from 0, so each gap is integrated once."""
+    lams = np.asarray(lams, dtype=float)
+    order = np.argsort(lams)
+    pts = lams[order]
+    vals = np.empty(pts.size)
+
+    def cumulate(indices):
+        prev_x, prev_v = 0.0, 0.0
+        for i in indices:
+            prev_v += _quad(lambda x: float(integrand_diagonal(k, x)), prev_x,
+                            pts[i], quad, stats)
+            prev_x = pts[i]
+            vals[i] = prev_v
+
+    cumulate([i for i in range(pts.size) if pts[i] >= 0.0])
+    cumulate([i for i in reversed(range(pts.size)) if pts[i] < 0.0])
+    out = np.empty(lams.size)
+    out[order] = vals + pts * depletion_mean(k)
+    return out
+
+
+def log_mgf(k: SpectrumKernel, lam: float, quad: QuadratureSpec | None = None) -> float:
+    """Lambda(lambda) at one point by the package's quadrature."""
+    return float(log_mgf_grid(k, np.array([lam]), quad)[0])
+
+
+def observable_identity(lattice) -> ObservableKernel:
+    return ObservableKernel(lattice=lattice, o=np.eye(lattice.size, dtype=complex))
+
+
+def kernel_A(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> np.ndarray:
+    """The inhomogeneous (source) kernel A_{p,q}(kappa), stabilized form."""
+    return _source(_Factors(k, obs, kappa))
+
+
+def apply_D(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
+            F: np.ndarray) -> np.ndarray:
+    """Apply the antilinear map D(kappa) to F, matrix-free in the four-index
+    kernel: three dense products per separable term."""
+    F = np.asarray(F, dtype=complex)
+    if F.shape != (k.size, k.size):
+        raise ValueError("F must be modes x modes")
+    return _apply(_Factors(k, obs, kappa), F)
 
 
 class RefFactors:

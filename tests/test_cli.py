@@ -181,8 +181,8 @@ def test_observable_identity_is_genfun_lambda(tmp_path):
         assert (o["lambda"], o["log_mgf_o"], o["fp_residual"]) \
             == (g["lambda"], g["log_mgf_quadrature"], g["abs_diff"])
         assert o["mean_o"] == reports["moments"][2][0]["mean"]
-    # the same quadrature, so the same QUADPACK diagnostics: four nonzero
-    # gaps of one 21-point Gauss-Kronrod panel each
+    # the same quadrature, so the same diagnostics: four nonzero gaps of
+    # one 21-point Gauss-Kronrod panel each
     for key in ("quad_evals", "quad_abserr_max"):
         assert obs_meta[key] == gen_meta[key]
     assert int(gen_meta["quad_evals"]) == 4 * 21
@@ -191,9 +191,9 @@ def test_observable_identity_is_genfun_lambda(tmp_path):
 
 def test_observable_identity_disagreement_exits_3(tmp_path, capsys):
     # a loose quadrature tolerance next to lambda0 leaves the quadrature
-    # about 3e-6 relative off the closed form: genfun reports the gap,
-    # the identity observable refuses it
-    body = dict(BASE, quadrature={"tol": 1e-2},
+    # about 4e-6 off the closed form (|Lambda| is about 17): genfun
+    # reports the gap, the identity observable refuses it
+    body = dict(BASE, quadrature={"tol": 1e-1},
                 lambda_grid={"min": 5.75, "max": 5.75, "count": 1},
                 observable={"kind": "identity"})
     code, text = run(tmp_path, "genfun", body)
@@ -501,31 +501,39 @@ def test_seventeen_digit_floats(tmp_path):
     assert f"{val:.17g}" == rows[0]["log_mgf_closed"]
 
 
-# Run in a fresh interpreter: the closed-form, scattering and desk-observable
-# commands must leave scipy unloaded; genfun (QUADPACK) and oracle (the Fock
-# exponentials) load it where they use it and still run in the same process.
+# Run in a fresh interpreter: every command but oracle must leave scipy
+# unloaded, the quadrature of genfun and the identity observable included;
+# oracle (the Fock exponentials) loads it where it uses it and still runs in
+# the same process.
 _SCIPY_PROBE = """
 import json, sys
 from bose_genfun.cli import main
-cfg, out = sys.argv[1], sys.argv[2]
-run = lambda cmd: main([cmd, "--config", cfg, "--out", out])
-codes = {cmd: run(cmd) for cmd in ("moments", "tails", "scattering", "observable")}
+cfg, identity, out = sys.argv[1], sys.argv[2], sys.argv[3]
+run = lambda cmd, path=cfg: main([cmd, "--config", path, "--out", out])
+codes = {cmd: run(cmd) for cmd in ("moments", "tails", "scattering",
+                                   "observable", "genfun")}
+codes["identity"] = run("observable", identity)
 lean = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-codes.update({cmd: run(cmd) for cmd in ("genfun", "oracle")})
+codes["oracle"] = run("oracle")
 print(json.dumps({"codes": codes, "lean": lean, "loaded": "scipy" in sys.modules}))
 """
 
 
-def test_scipy_loads_only_for_quadrature_and_the_oracle(tmp_path):
+def test_scipy_loads_only_for_the_oracle(tmp_path):
     cfg = write_cfg(tmp_path, README_CONFIG)
+    identity = write_cfg(tmp_path, dict(README_CONFIG,
+                                        observable={"kind": "identity"}),
+                         name="identity.json")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, cfg, str(tmp_path / "out.txt")],
+        [sys.executable, "-c", _SCIPY_PROBE, cfg, identity,
+         str(tmp_path / "out.txt")],
         capture_output=True, text=True, env=env, check=True, timeout=120)
     got = json.loads(proc.stdout)
     assert got["codes"] == dict.fromkeys(
-        ("moments", "tails", "scattering", "observable", "genfun", "oracle"), 0)
+        ("moments", "tails", "scattering", "observable", "genfun", "identity",
+         "oracle"), 0)
     assert got["lean"] == []
     assert got["loaded"]

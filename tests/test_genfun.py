@@ -2,7 +2,9 @@
 
 The two routes are algebraically independent inside the package (adaptive
 quadrature of the diagonal integrand vs -1/2 sum log(c^2 - e^{2l} s^2)), so
-their agreement is a real check, not a tautology.
+their agreement is a real check, not a tautology.  The package's numpy
+Gauss-Kronrod pass is also held against QUADPACK itself
+(kernel_reference.log_mgf_grid_quadpack).
 """
 
 import math
@@ -19,7 +21,6 @@ from bose_genfun.genfun import (
     cumulants,
     fourth_central_printed_combination,
     integrand_diagonal,
-    log_mgf,
     log_mgf_closed,
     log_mgf_grid,
 )
@@ -28,9 +29,10 @@ from bose_genfun.spectrum import (
     _check_domain,
     build_kernel,
     depletion_mean,
-    depletion_variance,
     kernel_from_nu,
+    log_mgf_derivatives,
 )
+from kernel_reference import log_mgf, log_mgf_grid_quadpack
 
 A16PI = 16.0 * math.pi * 0.01
 
@@ -129,14 +131,68 @@ def test_grid_matches_pointwise_and_skips_nothing():
 
 def test_grid_stats_count_every_integrand_call(monkeypatch):
     k = build_kernel(build_lattice(2), A16PI)
-    calls = []
+    nodes = []
     real = genfun.integrand_diagonal
     monkeypatch.setattr(genfun, "integrand_diagonal",
-                        lambda k, x: calls.append(x) or real(k, x))
+                        lambda k, x: nodes.append(np.size(x)) or real(k, x))
     stats = QuadratureStats()
     log_mgf_grid(k, np.array([-0.4, 0.0, 0.3, 0.6]), QuadratureSpec(), stats)
-    assert stats.evals == len(calls) > 0
+    assert stats.evals == sum(nodes) > 0
     assert 0.0 < stats.abserr_max <= 1e-10
+
+
+@pytest.mark.parametrize("j", range(32))
+def test_gauss_kronrod_rules_integrate_monomials(j):
+    # the 21-point Kronrod rule is exact for degree <= 31, the 10-point
+    # Gauss rule on its odd-indexed nodes for degree <= 19
+    x = np.concatenate((-genfun._XGK[:10], genfun._XGK))
+    w = np.concatenate((genfun._WGK[:10], genfun._WGK))
+    exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+    assert abs(math.fsum(w * x ** j) - exact) <= 1e-15
+    xg = genfun._XGK[1:10:2]
+    if j <= 19:
+        gauss = math.fsum(genfun._WG * xg ** j) * (1 + (-1) ** j)
+        assert abs(gauss - exact) <= 1e-15
+
+
+def test_qk21_panels_match_one_at_a_time():
+    # many panels in one call give each panel's own value and estimate
+    a = np.array([0.0, -1.0, 2.0, 0.5])
+    b = np.array([1.0, -3.0, 2.5, 0.5])
+    res, err = genfun._qk21(np.exp, a, b)
+    for i in range(a.size):
+        r1, e1 = genfun._qk21(np.exp, a[i:i + 1], b[i:i + 1])
+        assert (res[i], err[i]) == (r1[0], e1[0])
+    assert res == pytest.approx(np.exp(b) - np.exp(a), rel=1e-15, abs=0.0)
+    assert (res[3], err[3]) == (0.0, 0.0)
+
+
+_GRID_POINTS = st.lists(st.just(0.0) | st.floats(-0.99, 0.99), min_size=1,
+                        max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=kernels(), us=_GRID_POINTS, repeats=st.integers(0, 3))
+def test_grid_matches_quadpack(kernel, us, repeats):
+    # unsorted grids with repeated points, 0 and points near +-lambda0
+    _, k = kernel
+    lams = np.array(us + us[:repeats]) * k.lambda0
+    ours = log_mgf_grid(k, lams)
+    ref = log_mgf_grid_quadpack(k, lams)
+    assert np.all(np.abs(ours - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("below", [1e-3, 1e-6, 1e-8, 2e-9])
+def test_grid_matches_quadpack_next_to_lambda0(below):
+    # the integrand's pole at lambda0 forces deep refinement; the default
+    # max_panels suffices, and worst-panel bisection makes QUADPACK's panels
+    k = build_kernel(build_lattice(10), 16.0 * math.pi * 0.02)
+    lam = np.array([k.lambda0 - below])
+    ours, ref = QuadratureStats(), QuadratureStats()
+    got = log_mgf_grid(k, lam, None, ours)[0]
+    want = log_mgf_grid_quadpack(k, lam, None, ref)[0]
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    assert ours.evals == ref.evals > 21
 
 
 def test_quadrature_non_convergence_raises():
@@ -181,7 +237,7 @@ def test_cumulants_low_orders():
     k = build_kernel(build_lattice(3), A16PI)
     cs = cumulants(k, 4)
     assert cs.kappa[1] == pytest.approx(depletion_mean(k), rel=1e-10)
-    assert cs.kappa[2] == pytest.approx(depletion_variance(k), rel=1e-10)
+    assert cs.kappa[2] == pytest.approx(2.0 * float(np.sum(k.s**2 * k.c**2)), rel=1e-10)
     assert cs.central[2] == pytest.approx(cs.kappa[2], rel=1e-14)
     assert cs.central[3] == pytest.approx(cs.kappa[3], rel=1e-14)
     assert cs.central[4] == pytest.approx(cs.kappa[4] + 3 * cs.kappa[2] ** 2, rel=1e-13)
@@ -202,7 +258,7 @@ def test_fourth_central_closed_combination():
     # central[4] == 3 sigma^4 + 4 sigma^2 + 48 sum c^4 s^4 (exact identity)
     for k in (build_kernel(build_lattice(2), A16PI),
               kernel_from_nu(lattice_from_vectors([(1, 0, 0), (0, 1, 0)]), [-0.55] * 4)):
-        sig2 = depletion_variance(k)
+        sig2 = log_mgf_derivatives(k, 0.0, 2)[2]
         quart = float(np.sum((k.c * k.s) ** 4))
         expect = 3.0 * sig2**2 + 4.0 * sig2 + 48.0 * quart
         assert cumulants(k, 4).central[4] == pytest.approx(expect, rel=1e-12)
@@ -212,7 +268,7 @@ def test_printed_fourth_combination_disagrees():
     # the alternative printed combination is reported, never asserted equal;
     # on any kernel with nonzero angles it differs from the true central[4]
     k = kernel_from_nu(lattice_from_vectors([(1, 0, 0), (0, 1, 0)]), [-0.55] * 4)
-    sig2 = depletion_variance(k)
+    sig2 = log_mgf_derivatives(k, 0.0, 2)[2]
     quart = float(np.sum((k.c * k.s) ** 4))
     cs = cumulants(k, 4)
     printed = fourth_central_printed_combination(k, cs.kappa[2])

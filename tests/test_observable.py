@@ -19,14 +19,11 @@ from bose_genfun.fockoracle import build_space, mgf_oracle
 from bose_genfun.genfun import QuadratureSpec, log_mgf_closed
 from bose_genfun.lattice import lattice_from_vectors
 from bose_genfun.observable import (
-    apply_D,
     certified_domain,
     d_norm_bound,
-    kernel_A,
     log_mgf_det,
     observable_from_csv,
     observable_from_matrix,
-    observable_identity,
     observable_mean,
     observable_random,
     solve_F,
@@ -35,15 +32,18 @@ from bose_genfun.observable import _exp_pair, _Factors, _residuals
 from bose_genfun.spectrum import build_kernel, depletion_mean, kernel_from_nu
 from fock_reference import pair_amplitudes
 from kernel_reference import (
+    apply_D,
     apply_D_paper,
     apply_D_raw,
     d_norm_estimate,
     d_tensor_bruteforce,
     dense_solve,
+    kernel_A,
     kernel_A_paper,
     kernel_A_raw,
     log_mgf_dense,
     log_mgf_general,
+    observable_identity,
     realified,
 )
 

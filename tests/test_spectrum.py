@@ -13,9 +13,8 @@ from bose_genfun.lattice import build_lattice, lattice_from_vectors, p_squared_a
 from bose_genfun.spectrum import (
     build_kernel,
     depletion_mean,
-    depletion_variance,
     kernel_from_nu,
-    nu_of,
+    log_mgf_derivatives,
 )
 
 A16PI = 16.0 * math.pi * 0.01  # coupling for the reference column
@@ -23,32 +22,35 @@ A16PI = 16.0 * math.pi * 0.01  # coupling for the reference column
 
 def test_nu_single_mode_frozen():
     # smallest shell |n|=1, p^2 = 4 pi^2, a16pi = 16 pi * 0.01  (mpmath)
-    assert nu_of(4.0 * math.pi**2, A16PI) == pytest.approx(
+    lat = lattice_from_vectors([(1, 0, 0)])
+    assert build_kernel(lat, A16PI).nu[0] == pytest.approx(
         -0.003163005007291267, rel=1e-14, abs=0.0)
-    assert nu_of(4.0 * math.pi**2, 0.0) == 0.0
+    assert build_kernel(lat, 0.0).nu[0] == 0.0
 
 
 def test_nu_monotone_and_negative():
-    p2 = np.linspace(4.0 * math.pi**2, 100.0 * math.pi**2, 50)
-    vals = np.array([nu_of(x, A16PI) for x in p2])
-    assert np.all(vals < 0)
-    assert np.all(np.diff(vals) > 0)  # |nu| decreases with p^2
+    k = build_kernel(build_lattice(4), A16PI)
+    p2 = p_squared_array(k.lattice)
+    shells, first = np.unique(p2, return_index=True)
+    assert np.all(k.nu < 0)
+    assert np.all(np.diff(k.nu[first]) > 0)  # |nu| decreases with p^2
+    assert np.array_equal(k.nu, k.nu[first][np.searchsorted(shells, p2)])
 
 
 def test_nu_invalid_arguments():
-    with pytest.raises(ValueError):
-        nu_of(0.0, A16PI)
-    with pytest.raises(ValueError):
-        nu_of(-1.0, A16PI)
-    with pytest.raises(ValueError):
-        nu_of(1.0, -0.5)
+    lat = lattice_from_vectors([(1, 0, 0)])
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            build_kernel(lat, bad)
+    with pytest.raises(ValueError):  # p^2 = 0 has no pairing amplitude
+        lattice_from_vectors([(0, 0, 0)])
 
 
 def test_kernel_cutoff10_frozen_summaries():
     k = build_kernel(build_lattice(10), A16PI)
     assert k.size == 9260
     assert depletion_mean(k) == pytest.approx(0.00015636620019603793, rel=1e-13)
-    assert depletion_variance(k) == pytest.approx(0.0003127337934869015, rel=1e-13)
+    assert log_mgf_derivatives(k, 0.0, 2)[2] == pytest.approx(0.0003127337934869015, rel=1e-13)
     assert k.lambda0 == pytest.approx(5.756236086436068, rel=1e-13)
 
 
@@ -84,7 +86,7 @@ def test_kernel_from_nu_and_vanishing_angles():
     k0 = kernel_from_nu(lat, [0.0, 0.0])
     assert k0.lambda0 == math.inf
     assert depletion_mean(k0) == 0.0
-    assert depletion_variance(k0) == 0.0
+    assert log_mgf_derivatives(k0, 0.0, 2)[2] == 0.0
 
     with pytest.raises(ValueError):
         kernel_from_nu(lat, [-0.3, -0.2])  # not even under negation
@@ -93,5 +95,5 @@ def test_kernel_from_nu_and_vanishing_angles():
 def test_mean_and_variance_formulas():
     k = build_kernel(build_lattice(2), A16PI)
     assert depletion_mean(k) == pytest.approx(float(np.sum(k.s**2)), rel=1e-14)
-    assert depletion_variance(k) == pytest.approx(
+    assert log_mgf_derivatives(k, 0.0, 2)[2] == pytest.approx(
         2.0 * float(np.sum(k.s**2 * k.c**2)), rel=1e-14)

@@ -16,7 +16,6 @@ from bose_genfun.genfun import cumulants, log_mgf_closed
 from bose_genfun.lattice import lattice_from_vectors
 from bose_genfun.spectrum import (
     depletion_mean,
-    depletion_variance,
     kernel_from_nu,
     log_mgf_derivatives,
 )
@@ -31,6 +30,11 @@ NU = -0.55
 LAT = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
 
 
+def variance(k):
+    """sigma^2 = Lambda''(0), from the closed-form engine."""
+    return log_mgf_derivatives(k, 0.0, 2)[2]
+
+
 def two_pair_kernel():
     return kernel_from_nu(LAT, [NU] * 4)
 
@@ -38,7 +42,7 @@ def two_pair_kernel():
 def test_trivial_below_mean():
     k = two_pair_kernel()
     mu = depletion_mean(k)
-    var = depletion_variance(k)
+    var = variance(k)
     for n in (0.0, 0.5 * mu, mu):
         for b in (chernoff_bound(k, n, mu), quadratic_bound(k, n, mu, var)):
             assert b.bound == 1.0 and b.exponent == 0.0
@@ -47,7 +51,7 @@ def test_trivial_below_mean():
 
 def test_vanishing_angles():
     k0 = kernel_from_nu(LAT, [0.0] * 4)
-    mu, var = depletion_mean(k0), depletion_variance(k0)
+    mu, var = depletion_mean(k0), variance(k0)
     b = chernoff_bound(k0, 1.0, mu)
     assert b.bound == 0.0 and math.isinf(b.exponent)
     assert "vanish" in b.note
@@ -61,7 +65,7 @@ def test_vanishing_angles():
 def test_chernoff_exponent_against_grid():
     k = two_pair_kernel()
     mu = depletion_mean(k)
-    n = mu + 2.0 * math.sqrt(depletion_variance(k))
+    n = mu + 2.0 * math.sqrt(variance(k))
     b = chernoff_bound(k, n, mu)
     grid = np.linspace(1e-12, k.lambda0 - 1e-12, 40001)
     vals = grid * n - np.array([log_mgf_closed(k, float(x)) for x in grid])
@@ -87,7 +91,7 @@ def test_engine_derivatives_and_chernoff_slope(nu_a, nu_b, u, j):
         (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h), rel=1e-6)
 
     mu = depletion_mean(k)
-    n = mu + j * math.sqrt(depletion_variance(k))
+    n = mu + j * math.sqrt(variance(k))
     b = chernoff_bound(k, n, mu)
     assert 0.0 < b.lambda_star < k.lambda0
     assert abs(log_mgf_derivatives(k, b.lambda_star, 1)[1] - n) <= 1e-10 * n
@@ -103,7 +107,7 @@ def test_chernoff_unreachable_threshold_raises():
 
 def test_quadratic_bound_formulas():
     k = two_pair_kernel()
-    mu, var = depletion_mean(k), depletion_variance(k)
+    mu, var = depletion_mean(k), variance(k)
     # interior optimum: lambda* = (n - mu)/var below lambda0
     n_in = mu + 0.25 * var * k.lambda0
     b = quadratic_bound(k, n_in, mu, var)
@@ -124,7 +128,7 @@ def test_quadratic_never_beats_chernoff_here():
     # model UNDERestimates Lambda and its "bound" is the optimistic one;
     # the direction is documented, not the reverse
     k = two_pair_kernel()
-    mu, var = depletion_mean(k), depletion_variance(k)
+    mu, var = depletion_mean(k), variance(k)
     for j in (0.5, 1.0, 2.0, 4.0):
         n = mu + j * math.sqrt(var)
         assert (quadratic_bound(k, n, mu, var).bound
@@ -143,7 +147,7 @@ def test_chernoff_bound_is_valid_against_exact_law():
 def test_witness_formulas_and_bounds():
     k = two_pair_kernel()
     e4 = cumulants(k, 4).central[4]
-    var = depletion_variance(k)
+    var = variance(k)
     w = nonconcentration_witness(var, e4)
     assert w.n == pytest.approx(0.5 * math.sqrt(var), rel=1e-15)
     assert (w.n + w.m) ** 2 == pytest.approx(4.0 * e4 / var, rel=1e-14)
@@ -159,7 +163,7 @@ def test_witness_synthetic_arithmetic():
     lat = lattice_from_vectors([(1, 0, 0)])
     s2 = (math.sqrt(5.0) - 1.0) / 2.0
     k = kernel_from_nu(lat, [-math.asinh(math.sqrt(s2))] * 2)
-    var = depletion_variance(k)
+    var = variance(k)
     assert var == pytest.approx(4.0, rel=1e-12)
     w = nonconcentration_witness(var, 48.0)
     assert w.n == pytest.approx(1.0, rel=1e-12)
@@ -171,7 +175,7 @@ def test_witness_certified_against_exact_law():
     # P[|N - mu| > n] >= epsilon for the true distribution
     k = two_pair_kernel()
     mu = depletion_mean(k)
-    w = nonconcentration_witness(depletion_variance(k), cumulants(k, 4).central[4])
+    w = nonconcentration_witness(variance(k), cumulants(k, 4).central[4])
     vals, probs = depletion_distribution([NU, NU], j_cap=400)
     p = float(probs[np.abs(vals - mu) > w.n].sum())
     assert p >= w.epsilon
@@ -179,6 +183,6 @@ def test_witness_certified_against_exact_law():
 
 def test_witness_rejects_impossible_moments():
     k = two_pair_kernel()
-    var = depletion_variance(k)
+    var = variance(k)
     with pytest.raises(ValueError):
         nonconcentration_witness(var, 0.5 * var * var)
