@@ -442,7 +442,7 @@ def cmd_observable(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    # the Fock oracle's exponentials need scipy; no other command loads it here
+    # only this command uses the Fock oracle, so only it imports the module
     from .fockoracle import (bch_check, bogoliubov_action_defect, build_space,
                              mgf_oracle)
 
@@ -477,16 +477,17 @@ def cmd_oracle(cfg: RunConfig) -> int:
         # a one-pair request is itself the one-pair MGF space: one MGF check
         mg1 = mgf_oracle(space if pairs == 1 else space1, nu1, np.eye(2), lam)
         closed1 = log_mgf_closed(dk1, lam)
+        detail1 = f"lambda={lam:.6g};truncation={mg1.truncation_estimate:.3g}"
         record("mgf_1pair_vs_closed", abs(math.log(mg1.value) - closed1),
-               max(1e-10, 10.0 * mg1.truncation_estimate),
-               f"lambda={lam:.6g}")
-        record("mgf_1pair_truncation", mg1.truncation_estimate, 1e-6)
+               max(1e-10, 10.0 * mg1.truncation_estimate), detail1)
+        record("mgf_1pair_truncation", mg1.truncation_estimate, 1e-6, detail1)
 
         if pairs == 2:
             mg = mgf_oracle(space, nu_by_pair, np.eye(4), lam)
             closed = log_mgf_closed(dk, lam)
             record("mgf_2pair_vs_closed", abs(math.log(mg.value) - closed),
-                   max(1e-8, 10.0 * mg.truncation_estimate), f"lambda={lam:.6g}")
+                   max(1e-8, 10.0 * mg.truncation_estimate),
+                   f"lambda={lam:.6g};truncation={mg.truncation_estimate:.3g}")
 
         rng = np.random.default_rng(cfg.seed)
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -1,11 +1,14 @@
-"""Dense and test-only Fock-space references (tests only).
+"""Sparse, dense and test-only Fock-space references (tests only).
 
-The package's conjugation and generator-action checks exponentiate each
-conserved-charge sector on its own.  This module keeps the dense bodies
-they replaced, which exponentiate the whole truncated space at once (an
-eigendecomposition of dGamma(O), a full expm of K), together with the
-oracle helpers only the tests call: the number operator, the pair
-amplitudes of the fixed-point equation and the exact depletion law.  It
+The package builds its Fock operators as dense blocks between conserved-
+charge sectors, read off the occupation table, and takes every exponential
+with one scaled Taylor routine in numpy.  This module keeps the scipy code
+it replaced: the sparse ladder builders (a, a*, dGamma(O), K), the
+sector-by-sector ``scipy.linalg.expm`` pair, and the dense bodies that
+exponentiate the whole truncated space at once (an eigendecomposition of
+dGamma(O), a full expm of K).  It also keeps the oracle helpers only the
+tests call: the number operator, the pair amplitudes of the fixed-point
+equation (taken with ``expm_multiply``) and the exact depletion law.  It
 has no ``test_`` prefix, so pytest imports it but collects nothing from it.
 """
 
@@ -16,8 +19,79 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from bose_genfun.fockoracle import (FockSpace, build_bogoliubov_generator,
-                                    op_annihilate, op_create, second_quantized)
+from bose_genfun.fockoracle import FockSpace, _strides
+
+
+def op_annihilate(space: FockSpace, mode: int) -> sp.csr_matrix:
+    """Sparse matrix of a_mode: <n-1|a|n> = sqrt(n) on the mode's ladder."""
+    if not 0 <= mode < space.modes:
+        raise ValueError("invalid mode")
+    occ = space.occupations[:, mode]
+    src = np.nonzero(occ > 0)[0]
+    dst = src - _strides(space)[mode]
+    amp = np.sqrt(occ[src].astype(float))
+    return sp.csr_matrix((amp, (dst, src)), shape=(space.dim, space.dim), dtype=complex)
+
+
+def op_create(space: FockSpace, mode: int) -> sp.csr_matrix:
+    return op_annihilate(space, mode).conj().T.tocsr()
+
+
+def second_quantized(space: FockSpace, o_small: np.ndarray) -> sp.csr_matrix:
+    """dGamma(O) = sum_{ab} O[a,b] a*_a a_b on the truncated space."""
+    o_small = np.asarray(o_small, dtype=complex)
+    if o_small.shape != (space.modes, space.modes):
+        raise ValueError("one-body matrix must be modes x modes")
+    ann = [op_annihilate(space, m) for m in range(space.modes)]
+    total = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for a in range(space.modes):
+        row = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+        for b in range(space.modes):
+            if o_small[a, b] != 0:
+                row = row + o_small[a, b] * ann[b]
+        if row.nnz:
+            total = total + ann[a].conj().T @ row
+    return total.tocsr()
+
+
+def build_bogoliubov_generator(space: FockSpace, nu_by_pair) -> sp.csr_matrix:
+    """K = sum_i nu_i (a*_{2i} a*_{2i+1} - a_{2i} a_{2i+1})."""
+    nu_by_pair = np.asarray(nu_by_pair, dtype=float)
+    if nu_by_pair.shape != (space.pairs,):
+        raise ValueError("need one nu per pair")
+    k = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for i, nu in enumerate(nu_by_pair):
+        if nu == 0.0:
+            continue
+        down = op_annihilate(space, 2 * i) @ op_annihilate(space, 2 * i + 1)
+        k = k + nu * (down.conj().T - down)
+    return k.tocsr()
+
+
+def _expm_pair_by_sector(x: sp.spmatrix, charge) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """(e^x, e^-x) for an x that conserves `charge` (one row of integers per
+    basis state), with one dense expm per charge sector and sign.
+
+    Raises ArithmeticError if x has a nonzero entry between two sectors, so
+    the block structure is checked, not assumed.
+    """
+    charge = np.asarray(charge).reshape(x.shape[0], -1)
+    label = np.unique(charge, axis=0, return_inverse=True)[1].reshape(-1)
+    coo = x.tocoo()
+    if np.any((coo.data != 0) & (label[coo.row] != label[coo.col])):
+        raise ArithmeticError("operator couples two conserved-charge sectors")
+    x = x.tocsr()
+    sectors = np.split(np.argsort(label, kind="stable"),
+                       np.cumsum(np.bincount(label))[:-1])
+    rows = np.concatenate([np.repeat(idx, idx.size) for idx in sectors])
+    cols = np.concatenate([np.tile(idx, idx.size) for idx in sectors])
+    blocks = [x[idx][:, idx].toarray() for idx in sectors]
+
+    def assemble(sign: float) -> sp.csr_matrix:
+        vals = np.concatenate([scipy.linalg.expm(sign * b).ravel() for b in blocks])
+        return sp.csr_matrix((vals, (rows, cols)), shape=x.shape)
+
+    return assemble(1.0), assemble(-1.0)
 
 
 def number_operator(space: FockSpace) -> sp.csr_matrix:

@@ -280,6 +280,15 @@ def test_oracle_pass_and_breach(tmp_path):
     checks = {r["check"] for r in rows}
     assert {"mgf_1pair_vs_closed", "mgf_2pair_vs_closed", "bch_defect",
             "bogoliubov_action_defect"} <= checks
+    # every MGF row names the truncation estimate of its oracle run
+    mgf_rows = {r["check"]: r for r in rows if r["check"].startswith("mgf_")}
+    assert len(mgf_rows) == 3
+    for r in mgf_rows.values():
+        assert r["detail"].startswith("lambda=")
+        assert 0.0 <= float(r["detail"].split(";truncation=")[1]) <= 1e-6
+    trunc = mgf_rows["mgf_1pair_truncation"]
+    assert float(trunc["detail"].split(";truncation=")[1]) == pytest.approx(
+        float(trunc["value"]), rel=1e-2)
 
     # strong coupling with a starved 2-pair space: truncation breaches
     breach = {"potential": {"kind": "direct", "a": 2.0}, "cutoff_m": 1,
@@ -501,25 +510,23 @@ def test_seventeen_digit_floats(tmp_path):
     assert f"{val:.17g}" == rows[0]["log_mgf_closed"]
 
 
-# Run in a fresh interpreter: every command but oracle must leave scipy
-# unloaded, the quadrature of genfun and the identity observable included;
-# oracle (the Fock exponentials) loads it where it uses it and still runs in
-# the same process.
+# Run in a fresh interpreter: no command loads scipy, the quadrature of
+# genfun, the identity observable and the Fock exponentials of oracle
+# included; scipy is a test dependency only.
 _SCIPY_PROBE = """
 import json, sys
 from bose_genfun.cli import main
 cfg, identity, out = sys.argv[1], sys.argv[2], sys.argv[3]
 run = lambda cmd, path=cfg: main([cmd, "--config", path, "--out", out])
 codes = {cmd: run(cmd) for cmd in ("moments", "tails", "scattering",
-                                   "observable", "genfun")}
+                                   "observable", "genfun", "oracle")}
 codes["identity"] = run("observable", identity)
-lean = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-codes["oracle"] = run("oracle")
-print(json.dumps({"codes": codes, "lean": lean, "loaded": "scipy" in sys.modules}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
-def test_scipy_loads_only_for_the_oracle(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     cfg = write_cfg(tmp_path, README_CONFIG)
     identity = write_cfg(tmp_path, dict(README_CONFIG,
                                         observable={"kind": "identity"}),
@@ -535,5 +542,4 @@ def test_scipy_loads_only_for_the_oracle(tmp_path):
     assert got["codes"] == dict.fromkeys(
         ("moments", "tails", "scattering", "observable", "genfun", "identity",
          "oracle"), 0)
-    assert got["lean"] == []
-    assert got["loaded"]
+    assert got["loaded"] == []

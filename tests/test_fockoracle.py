@@ -15,23 +15,29 @@ from hypothesis import given, settings, strategies as st
 
 from bose_genfun.fockoracle import (
     DIM_CAP,
-    _expm_pair_by_sector,
+    _block,
+    _dgamma,
+    _expm,
+    _k,
+    _ladder,
+    _sectors,
     bch_check,
     bogoliubov_action_defect,
-    build_bogoliubov_generator,
     build_space,
     mgf_oracle,
-    op_annihilate,
-    op_create,
-    second_quantized,
     squeezed_vacuum,
 )
 from fock_reference import (
+    _expm_pair_by_sector,
     bch_check_dense,
     bogoliubov_action_defect_dense,
+    build_bogoliubov_generator,
     depletion_distribution,
     number_operator,
+    op_annihilate,
+    op_create,
     pair_amplitudes,
+    second_quantized,
 )
 
 
@@ -106,8 +112,69 @@ def test_squeezed_vacuum_structure():
 def test_mgf_oracle_against_closed_form():
     nu, lam = -0.55, 0.3
     got = mgf_oracle(build_space(1, 40), [nu], np.eye(2), lam)
-    assert got.value == pytest.approx(one_pair_mgf_closed(nu, lam), abs=1e-10)
+    assert got.value == pytest.approx(one_pair_mgf_closed(nu, lam), rel=1e-13)
     assert got.truncation_estimate < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(nu=st.floats(-0.6, 0.0), frac=st.floats(-0.9, 0.7, exclude_max=True,
+                                               exclude_min=True))
+def test_mgf_oracle_one_pair_relative_accuracy(nu, frac):
+    # the Taylor exponentials keep the small tail amplitudes to relative
+    # accuracy, so e^{lam N} does not amplify their rounding
+    lam0 = math.inf if nu == 0.0 else -math.log(math.tanh(-nu))
+    lam = frac * min(lam0, 2.0)
+    got = mgf_oracle(build_space(1, 40), [nu], np.eye(2), lam,
+                     required_accuracy=math.inf)
+    if got.truncation_estimate <= 1e-12:
+        assert got.value == pytest.approx(one_pair_mgf_closed(nu, lam), rel=1e-12)
+
+
+def test_mgf_oracle_non_diagonal_two_pairs():
+    # a non-diagonal O is exponentiated word by word on the whole space;
+    # pair_amplitudes' G = <vac, e^{-K} e^{lam dGamma(O)} e^{K} vac> is the
+    # same expectation taken with scipy's expm_multiply
+    # (the same truncated space on both sides, so truncation cancels)
+    space = build_space(2, 6)
+    rng = np.random.default_rng(17)
+    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = 0.5 * (h + h.conj().T)
+    o = np.eye(4) + 0.5 * h / np.linalg.norm(h, 2)
+    assert np.count_nonzero(o - np.diag(o.diagonal())) == 12
+    for nu, lam in (([-0.45, -0.3], 0.5), ([-0.3, -0.2], -0.8)):
+        got = mgf_oracle(space, nu, o, lam, required_accuracy=1.0)
+        ref = pair_amplitudes(space, nu, o, lam)[1].real
+        assert abs(got.value - 1.0) > 0.05
+        assert got.value == pytest.approx(ref, rel=1e-10)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), pairs=st.sampled_from([1, 2]))
+def test_sector_blocks_equal_sparse_builders(data, pairs):
+    # the blocks read off the occupation table are the sparse builders'
+    # entries, bit for bit, and nothing of either lies outside the sectors
+    space = build_space(pairs, data.draw(st.integers(2, 9) if pairs == 1
+                                         else st.integers(2, 4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (space.modes, space.modes)
+    o = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    o[rng.random(o.shape) < 0.3] = 0.0
+    nu = rng.uniform(-0.5, 0.5, space.pairs)
+    occ = space.occupations
+    for charge, images, ref in (
+            (occ.sum(axis=1), lambda idx: _dgamma(space, o, idx),
+             second_quantized(space, o)),
+            (occ[:, 0::2] - occ[:, 1::2], lambda idx: _k(space, nu, idx),
+             build_bogoliubov_generator(space, nu))):
+        full = np.zeros((space.dim, space.dim), dtype=complex)
+        for idx in _sectors(charge).values():
+            full[np.ix_(idx, idx)] = _block(space, images(idx), idx, idx)
+        assert np.array_equal(full, ref.toarray())
+    every = np.arange(space.dim)
+    for m in range(space.modes):
+        for step, ref in ((-1, op_annihilate(space, m)), (1, op_create(space, m))):
+            got = _block(space, [_ladder(space, [(m, step)], every)], every, every)
+            assert np.array_equal(got, ref.toarray())
 
 
 def test_mgf_oracle_degenerate_inputs():
@@ -199,14 +266,23 @@ def test_sector_blocked_diagnostics_match_dense(data, pairs):
 def test_sector_blocking_is_checked():
     space = build_space(1, 6)
     total = space.occupations.sum(axis=1)
-    k = build_bogoliubov_generator(space, [-0.2])
     # K changes the total number by two: it couples number sectors
+    for idx in _sectors(total).values():
+        with pytest.raises(ArithmeticError, match="couples"):
+            _block(space, _k(space, [-0.2], idx), idx, idx)
     with pytest.raises(ArithmeticError, match="couples"):
-        _expm_pair_by_sector(k, total)
+        _expm_pair_by_sector(build_bogoliubov_generator(space, [-0.2]), total)
     # dGamma(O) conserves it: the blocks reproduce the full exponential
-    dg = second_quantized(space, np.array([[0.1, 0.2j], [-0.2j, -0.3]]))
+    o = np.array([[0.1, 0.2j], [-0.2j, -0.3]])
+    dg = second_quantized(space, o)
+    want = scipy.linalg.expm(dg.toarray())
+    for idx in _sectors(total).values():
+        block = _block(space, _dgamma(space, o, idx), idx, idx)
+        got = _expm(block, np.eye(idx.size))
+        assert np.max(np.abs(got - want[np.ix_(idx, idx)])) < 1e-13
+        assert np.max(np.abs(_expm(-block, got) - np.eye(idx.size))) < 1e-13
     e_plus, e_minus = _expm_pair_by_sector(dg, total)
-    assert np.max(np.abs(e_plus.toarray() - scipy.linalg.expm(dg.toarray()))) < 1e-13
+    assert np.max(np.abs(e_plus.toarray() - want)) < 1e-13
     assert np.max(np.abs((e_plus @ e_minus).toarray() - np.eye(space.dim))) < 1e-13
 
 
