@@ -453,13 +453,14 @@ def cmd_oracle(cfg: RunConfig) -> int:
         space = build_space(pairs, n_max)
         # the 1-pair diagnostics (BCH / generator action) need enough shells
         # for their 1e-8 tolerances; dim stays tiny for a single pair
-        space1 = build_space(1, min(max(n_max, 20), 30))
+        n1 = min(max(n_max, 20), 30)
+        space1 = space if (pairs, n_max) == (1, n1) else build_space(1, n1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     a16pi = _a16pi(cfg)
     dk = _desk_kernel(pairs, a16pi)
-    dk1 = _desk_kernel(1, a16pi)
+    dk1 = dk if pairs == 1 else _desk_kernel(1, a16pi)
     nu_by_pair = [float(dk.nu[i]) for i, _ in dk.lattice.pairs]
     nu1 = [float(dk1.nu[i]) for i, _ in dk1.lattice.pairs]
     lam = 0.25 * min(dk.lambda0, 2.0)

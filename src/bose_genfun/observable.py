@@ -106,9 +106,9 @@ def observable_random(lattice: Lattice, seed: int,
 def observable_from_csv(lattice: Lattice, path) -> ObservableKernel:
     """Load O from rows (p_index, q_index, re, im).
 
-    Each row has four fields, indices lie in [0, lattice.size) and each
-    (p, q) appears once; a row breaking a rule raises ValueError naming its
-    line.
+    Each row has four numeric fields, the indices are integers in
+    [0, lattice.size) and each (p, q) appears once; a row breaking a rule
+    raises ValueError naming its line.
     """
     o = np.zeros((lattice.size, lattice.size), dtype=complex)
     seen = set()
@@ -118,7 +118,10 @@ def observable_from_csv(lattice: Lattice, path) -> ObservableKernel:
                 continue
             if len(row) != 4:
                 raise ValueError(f"{path} line {line}: expected 4 fields, got {len(row)}")
-            p, q, re, im = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+            try:
+                p, q, re, im = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {line}: non-numeric field ({exc})") from None
             if not (0 <= p < lattice.size and 0 <= q < lattice.size):
                 raise ValueError(f"{path} line {line}: index ({p}, {q}) outside "
                                  f"[0, {lattice.size})")
@@ -158,79 +161,61 @@ def _check_lattices(k: SpectrumKernel, obs: ObservableKernel) -> None:
         raise ValueError("observable and kernel live on different lattices")
 
 
-def _diag(v):
-    return np.diag(v.astype(complex))
-
-
 class _Factors:
     """Per-(observable, kappa) state, built once and shared by A, D and the
     bound on D: the subtracted factors dbp = conj(e^{kappa O}) - 1 and
-    dm = e^{-kappa O} - 1, and D as (left, right, access) triples with
-    D[F] = sum left @ access(F) @ right.
+    dm = e^{-kappa O} - 1, and the four distinct factors of
 
-    access modes: 'tilde' conj(F).T[:, neg] (i.e. conj(F_{-l,k}) at (k,l));
-    'negconj' conj(F)[neg, :].  Both are isometries, so norm bounds need
-    only the left/right factors.
+        D[F] = a1 Ft b1 + a2 Ft b2 - a2 Ft b1 - a1 Fn b2,
+
+    with Ft = conj(F).T[:, neg] (conj(F_{-l,k}) at (k,l)) and
+    Fn = conj(F)[neg, :].  Both accesses are isometries, so the norm bound
+    needs only the norms of a1, a2, b1 and b2.
     """
 
     def __init__(self, k: SpectrumKernel, obs: ObservableKernel, kappa: float):
         _check_lattices(k, obs)
-        self.s, self.c = k.s, k.c
+        self.s, self.c = s, c = k.s, k.c
         self.neg = neg = k.lattice.neg_index
         ep, em = _exp_pair(obs, kappa)
         eye = np.eye(obs.size)
-        self.dbp = ep.conj() - eye
-        self.dm = em - eye
-        s, c = _diag(k.s), _diag(k.c)
-        a1 = c @ (self.dbp[neg][:, neg].T) @ s
-        b1 = s @ self.dbp[neg, :] @ c
-        a2 = s @ self.dm.T @ c
-        b2 = c @ self.dm[:, neg] @ s
-        self.terms = [(a1, b1, "tilde"), (a2, b2, "tilde"),
-                      (-a2, b1, "tilde"), (-a1, b2, "negconj")]
+        self.dbp, self.dm = ep.conj() - eye, em - eye
+        self.a1 = c[:, None] * self.dbp[neg][:, neg].T * s
+        self.b1 = s[:, None] * self.dbp[neg, :] * c
+        self.a2 = s[:, None] * self.dm.T * c
+        self.b2 = c[:, None] * self.dm[:, neg] * s
 
 
 def _source(f: _Factors) -> np.ndarray:
     s, c, neg, dbp, dm = f.s, f.c, f.neg, f.dbp, f.dm
-    a = _diag(s) @ dbp @ _diag(c)
-    a += _diag(c) @ dbp[neg][:, neg].T @ _diag(s)
-    a += np.outer(c, c) * ((dbp[:, neg]).T @ _diag(c * s) @ dbp[neg, :])
-    a += np.outer(s, s) * (dm.T @ _diag(s * c) @ dm[neg][:, neg])
-    a -= np.outer(s, c) * (dm.T @ _diag(s * s) @ dbp)
-    a -= np.outer(c, s) * ((dbp[:, neg]).T @ _diag(s * s) @ dm[:, neg])
+    a = s[:, None] * dbp * c + f.a1
+    a += np.outer(c, c) * ((dbp[:, neg].T * (c * s)) @ dbp[neg, :])
+    a += np.outer(s, s) * ((dm.T * (s * c)) @ dm[neg][:, neg])
+    a -= np.outer(s, c) * ((dm.T * (s * s)) @ dbp)
+    a -= np.outer(c, s) * ((dbp[:, neg].T * (s * s)) @ dm[:, neg])
     return a
 
 
-def _access(F: np.ndarray, mode: str, neg: np.ndarray) -> np.ndarray:
-    if mode == "tilde":
-        return F.conj().T[:, neg]
-    if mode == "negconj":
-        return F.conj()[neg, :]
-    raise ValueError(mode)
-
-
 def _apply(f: _Factors, F: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(F)
-    for left, right, mode in f.terms:
-        out += left @ _access(F, mode, f.neg) @ right
+    ft = F.conj().T[:, f.neg]
+    out = f.a1 @ ft @ f.b1
+    out += f.a2 @ ft @ f.b2
+    out -= f.a2 @ ft @ f.b1
+    out -= f.a1 @ F.conj()[f.neg, :] @ f.b2
     return out
 
 
 def _bound(f: _Factors) -> float:
-    spec = 0.0
-    frob = 0.0
-    for left, right, _ in f.terms:
-        spec += np.linalg.norm(left, 2) * np.linalg.norm(right, 2)
-        frob += np.linalg.norm(left) * np.linalg.norm(right)
-    return float(min(spec, frob))
+    a1, a2, b1, b2 = (np.linalg.norm(x, 2) for x in (f.a1, f.a2, f.b1, f.b2))
+    return float(a1 * b1 + a2 * b2 + a2 * b1 + a1 * b2)
 
 
 def d_norm_bound(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> float:
     """Certified upper bound on the l2 -> l2 operator norm of D(kappa).
 
-    Triangle inequality over the separable terms with each term bounded by
-    the product of factor norms; the smaller of the spectral-norm and
-    Frobenius-norm products is returned.
+    Triangle inequality over the four separable terms, each bounded by the
+    product of its factors' spectral norms.  There is no Frobenius-norm
+    variant: ||X||_2 <= ||X||_F for every X, so its sum is never smaller.
     """
     if kappa == 0.0:
         return 0.0
@@ -330,13 +315,13 @@ def log_mgf_det(k: SpectrumKernel, obs: ObservableKernel,
     genfun's scalar closed form.
     """
     _check_lattices(k, obs)
-    t_pair = np.diag(k.t)[:, k.lattice.neg_index]  # T_{p,-p} = tanh nu_p
+    neg = k.lattice.neg_index
     base = 0.5 * math.fsum(np.log1p(-k.t * k.t).tolist())
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     vals, slopes = np.zeros(lams.size), np.zeros(lams.size)
     for i, lam in enumerate(lams):
         half = _exp_pair(obs, 0.5 * float(lam))[0]
-        s_mat = half @ t_pair @ half.T
+        s_mat = (half * k.t)[:, neg] @ half.T  # T_{p,-p} = tanh nu_p
         u, sig, vh = np.linalg.svd(s_mat)
         if not sig[0] < 1.0 - _EDGE_MARGIN:
             raise ValueError(f"lambda {lam} outside the exact domain: "

@@ -86,22 +86,6 @@ def build_kernel(lattice: Lattice, a16pi: float) -> SpectrumKernel:
                           s=s, c=c, t=t, lambda0=_lambda0_from_tanh(t))
 
 
-def kernel_from_nu(lattice: Lattice, nu) -> SpectrumKernel:
-    """Desk-scale constructor with explicit nu values (one per mode).
-
-    nu must be even under p -> -p.  a16pi is recorded as NaN since the
-    amplitudes were not derived from a coupling.
-    """
-    nu = np.asarray(nu, dtype=float)
-    if nu.shape != (lattice.size,):
-        raise ValueError("nu must have one entry per lattice mode")
-    if not np.allclose(nu, nu[lattice.neg_index], rtol=0, atol=0):
-        raise ValueError("nu must be even: nu[p] == nu[-p]")
-    s, c, t = np.sinh(nu), np.cosh(nu), np.tanh(nu)
-    return SpectrumKernel(lattice=lattice, a16pi=math.nan, nu=nu,
-                          s=s, c=c, t=t, lambda0=_lambda0_from_tanh(t))
-
-
 def _check_domain(k: SpectrumKernel, lam: float) -> None:
     if not abs(lam) < k.lambda0:
         raise ValueError(f"lambda {lam} outside domain (-{k.lambda0}, {k.lambda0})")

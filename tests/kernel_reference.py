@@ -30,7 +30,12 @@ nothing from it.
   walks a grid gap by gap as the package's numpy Gauss-Kronrod pass does,
   one QUADPACK call per gap.
 * The public wrappers the package does not call itself: ``kernel_A``,
-  ``apply_D``, ``observable_identity`` and the scalar ``log_mgf``.
+  ``apply_D``, ``observable_identity``, the scalar ``log_mgf`` and
+  ``kernel_from_nu``, the desk-scale kernel with explicit pairing angles.
+* The derived D written as (left, right, access) triples, D[F] = sum
+  left @ access(F) @ right, with -a2 and -a1 as factors of their own
+  (``_derived_terms``), and its min(spectral, Frobenius) bound; the tests
+  hold ``observable._apply`` and ``observable._bound`` against them.
 """
 
 import math
@@ -42,9 +47,7 @@ import scipy.linalg
 from bose_genfun.genfun import (QuadratureSpec, QuadratureStats,
                                 integrand_diagonal, log_mgf_grid)
 from bose_genfun.observable import (
-    _access,
     _apply,
-    _diag,
     _exp_pair,
     _Factors,
     _source,
@@ -53,7 +56,8 @@ from bose_genfun.observable import (
     observable_mean,
     solve_F,
 )
-from bose_genfun.spectrum import SpectrumKernel, depletion_mean
+from bose_genfun.spectrum import (SpectrumKernel, _lambda0_from_tanh,
+                                  depletion_mean)
 
 
 def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None,
@@ -103,6 +107,22 @@ def log_mgf(k: SpectrumKernel, lam: float, quad: QuadratureSpec | None = None) -
     return float(log_mgf_grid(k, np.array([lam]), quad)[0])
 
 
+def kernel_from_nu(lattice, nu) -> SpectrumKernel:
+    """Desk-scale constructor with explicit nu values (one per mode).
+
+    nu must be even under p -> -p.  a16pi is recorded as NaN since the
+    amplitudes were not derived from a coupling.
+    """
+    nu = np.asarray(nu, dtype=float)
+    if nu.shape != (lattice.size,):
+        raise ValueError("nu must have one entry per lattice mode")
+    if not np.allclose(nu, nu[lattice.neg_index], rtol=0, atol=0):
+        raise ValueError("nu must be even: nu[p] == nu[-p]")
+    s, c, t = np.sinh(nu), np.cosh(nu), np.tanh(nu)
+    return SpectrumKernel(lattice=lattice, a16pi=math.nan, nu=nu,
+                          s=s, c=c, t=t, lambda0=_lambda0_from_tanh(t))
+
+
 def observable_identity(lattice) -> ObservableKernel:
     return ObservableKernel(lattice=lattice, o=np.eye(lattice.size, dtype=complex))
 
@@ -120,6 +140,24 @@ def apply_D(k: SpectrumKernel, obs: ObservableKernel, kappa: float,
     if F.shape != (k.size, k.size):
         raise ValueError("F must be modes x modes")
     return _apply(_Factors(k, obs, kappa), F)
+
+
+def _diag(v):
+    return np.diag(v.astype(complex))
+
+
+def _access(F, mode, neg):
+    """'tilde' conj(F).T[:, neg] (conj(F_{-l,k}) at (k,l)); 'negconj'
+    conj(F)[neg, :]; 'plain' F; 'negrow' F[neg, :]."""
+    if mode == "tilde":
+        return F.conj().T[:, neg]
+    if mode == "negconj":
+        return F.conj()[neg, :]
+    if mode == "plain":
+        return F
+    if mode == "negrow":
+        return F[neg, :]
+    raise ValueError(mode)
 
 
 class RefFactors:
@@ -200,6 +238,22 @@ def _paper_terms(f, raw):
             (a_t1, b_t5, "plain"), (a_t6, b_t4c, "plain")]
 
 
+def _derived_terms(f):
+    """observable._Factors as the four (left, right, access) triples of D."""
+    return [(f.a1, f.b1, "tilde"), (f.a2, f.b2, "tilde"),
+            (-f.a2, f.b1, "tilde"), (-f.a1, f.b2, "negconj")]
+
+
+def _derived_bound(f):
+    """The bound on ||D|| as min(spectral, Frobenius) over the triples."""
+    spec = 0.0
+    frob = 0.0
+    for left, right, _ in _derived_terms(f):
+        spec += np.linalg.norm(left, 2) * np.linalg.norm(right, 2)
+        frob += np.linalg.norm(left) * np.linalg.norm(right)
+    return float(min(spec, frob))
+
+
 def _derived_raw_terms(f):
     s, c, neg = f.s, f.c, f.neg
     a1 = _diag(c) @ (f.pbar[neg][:, neg].T) @ _diag(s)
@@ -213,13 +267,7 @@ def _derived_raw_terms(f):
 def _apply_terms(terms, F, neg):
     out = np.zeros_like(F)
     for left, right, mode in terms:
-        if mode == "plain":
-            acc = F
-        elif mode == "negrow":
-            acc = F[neg, :]
-        else:
-            acc = _access(F, mode, neg)
-        out += left @ acc @ right
+        out += left @ _access(F, mode, neg) @ right
     return out
 
 
@@ -345,14 +393,15 @@ def d_norm_estimate(k, obs, kappa, iters=80, seed=0):
     if kappa == 0.0:
         return 0.0
     f = _Factors(k, obs, kappa)
+    terms = _derived_terms(f)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((k.size, k.size)) + 1j * rng.standard_normal((k.size, k.size))
     x /= np.linalg.norm(x)
     est = 0.0
     for _ in range(iters):
-        y = _apply_terms(f.terms, x, f.neg)
+        y = _apply_terms(terms, x, f.neg)
         z = np.zeros_like(x)
-        for left, right, mode in f.terms:
+        for left, right, mode in terms:
             z += _access_adjoint(y, left, right, mode, f.neg)
         nz = np.linalg.norm(z)
         if nz == 0.0:

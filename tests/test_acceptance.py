@@ -38,12 +38,12 @@ from bose_genfun.scattering import PotentialSpec, scattering_length, solve_scatt
 from bose_genfun.spectrum import (
     build_kernel,
     depletion_mean,
-    kernel_from_nu,
     log_mgf_derivatives,
 )
 from bose_genfun.tails import chernoff_bound, nonconcentration_witness, quadratic_bound
 from fock_reference import depletion_distribution
-from kernel_reference import log_mgf_dense, log_mgf_general, observable_identity
+from kernel_reference import (kernel_from_nu, log_mgf_dense, log_mgf_general,
+                              observable_identity)
 
 DESK = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
 

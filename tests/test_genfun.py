@@ -29,10 +29,9 @@ from bose_genfun.spectrum import (
     _check_domain,
     build_kernel,
     depletion_mean,
-    kernel_from_nu,
     log_mgf_derivatives,
 )
-from kernel_reference import log_mgf, log_mgf_grid_quadpack
+from kernel_reference import kernel_from_nu, log_mgf, log_mgf_grid_quadpack
 
 A16PI = 16.0 * math.pi * 0.01
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import bose_genfun.observable as observable_mod
 from bose_genfun.fockoracle import build_space, mgf_oracle
 from bose_genfun.genfun import QuadratureSpec, log_mgf_closed
-from bose_genfun.lattice import lattice_from_vectors
+from bose_genfun.lattice import build_lattice, lattice_from_vectors
 from bose_genfun.observable import (
     certified_domain,
     d_norm_bound,
@@ -28,10 +28,13 @@ from bose_genfun.observable import (
     observable_random,
     solve_F,
 )
-from bose_genfun.observable import _exp_pair, _Factors, _residuals
-from bose_genfun.spectrum import build_kernel, depletion_mean, kernel_from_nu
+from bose_genfun.observable import _apply, _bound, _exp_pair, _Factors, _residuals
+from bose_genfun.spectrum import build_kernel, depletion_mean
 from fock_reference import pair_amplitudes
 from kernel_reference import (
+    _apply_terms,
+    _derived_bound,
+    _derived_terms,
     apply_D,
     apply_D_paper,
     apply_D_raw,
@@ -41,6 +44,7 @@ from kernel_reference import (
     kernel_A,
     kernel_A_paper,
     kernel_A_raw,
+    kernel_from_nu,
     log_mgf_dense,
     log_mgf_general,
     observable_identity,
@@ -136,7 +140,9 @@ def test_csv_round_trip(tmp_path):
     (["0,0,1.0,0.0", "99,99,1.0,0.0"], "outside"),     # past the lattice
     (["0,0,1.0,0.0", "0,0,2.0,0.0"], "duplicate"),     # would overwrite row 1
     (["0,0,1.0"], "4 fields"),
-], ids=["negative", "too-large", "duplicate", "short-row"])
+    (["1,x,0.5,0"], "non-numeric"),                   # index is not an integer
+    (["0,0,1.0,0.0", "0,0,abc,0"], "non-numeric"),    # value is not a number
+], ids=["negative", "too-large", "duplicate", "short-row", "bad-index", "bad-value"])
 def test_csv_rejects_bad_rows(tmp_path, rows, message):
     path = tmp_path / "obs.csv"
     path.write_text("p_index,q_index,re,im\n" + "\n".join(rows) + "\n")
@@ -300,6 +306,36 @@ def test_norm_bound_and_estimate():
     true_norm = float(np.linalg.norm(m, 2))
     assert est == pytest.approx(true_norm, rel=1e-8)
     assert bnd >= true_norm
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(["1-pair", "2-pair", "cube"]),
+       ensemble=st.sampled_from(["real-parity", "hermitian", "projector"]),
+       a=st.floats(0.005, 0.3), frac=st.floats(-0.95, 0.95),
+       seed=st.integers(0, 2**32 - 1))
+def test_factors_match_reference_triples(shape, ensemble, a, frac, seed):
+    # D kept as its four distinct factors applies exactly as the triple sum
+    # with -a2 and -a1 stored separately.  Every factor has the rank of
+    # e^{kappa O} - 1, that of O: for full-rank O the spectral-only bound
+    # equals the triples' min(spectral, Frobenius); for a rank-one projector
+    # ||X||_2 = ||X||_F and rounding may pick the Frobenius sum
+    lat = (build_lattice(1) if shape == "cube"
+           else lattice_from_vectors([(1, 0, 0), (0, 1, 0)][:int(shape[0])]))
+    k = build_kernel(lat, 16.0 * math.pi * a)
+    rng = np.random.default_rng(seed)
+    if ensemble == "projector":
+        v = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+        v /= np.linalg.norm(v)
+        obs = observable_from_matrix(lat, np.outer(v, v.conj()))
+    else:
+        obs = observable_random(lat, seed, ensemble=ensemble)
+    f = _Factors(k, obs, frac * min(k.lambda0, 2.0))
+    F = rng.standard_normal((lat.size,) * 2) + 1j * rng.standard_normal((lat.size,) * 2)
+    assert np.array_equal(_apply(f, F), _apply_terms(_derived_terms(f), F, f.neg))
+    bnd, ref = _bound(f), _derived_bound(f)
+    assert bnd >= ref
+    if ensemble != "projector":
+        assert bnd == ref
 
 
 # ------------------------------------------------------- fixed-point solves

@@ -13,9 +13,9 @@ from bose_genfun.lattice import build_lattice, lattice_from_vectors, p_squared_a
 from bose_genfun.spectrum import (
     build_kernel,
     depletion_mean,
-    kernel_from_nu,
     log_mgf_derivatives,
 )
+from kernel_reference import kernel_from_nu
 
 A16PI = 16.0 * math.pi * 0.01  # coupling for the reference column
 

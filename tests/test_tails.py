@@ -16,7 +16,6 @@ from bose_genfun.genfun import cumulants, log_mgf_closed
 from bose_genfun.lattice import lattice_from_vectors
 from bose_genfun.spectrum import (
     depletion_mean,
-    kernel_from_nu,
     log_mgf_derivatives,
 )
 from bose_genfun.tails import (
@@ -25,6 +24,7 @@ from bose_genfun.tails import (
     quadratic_bound,
 )
 from fock_reference import depletion_distribution
+from kernel_reference import kernel_from_nu
 
 NU = -0.55
 LAT = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
