@@ -26,7 +26,7 @@ from .genfun import (QuadratureSpec, QuadratureStats, cumulants,
                      fourth_central_printed_combination, log_mgf_closed,
                      log_mgf_grid)
 from .lattice import build_lattice, lattice_from_vectors
-from .observable import (certified_domain, log_mgf_det, observable_from_csv,
+from .observable import (NotContracting, log_mgf_det, observable_from_csv,
                          observable_mean, observable_random, solve_F)
 from .scattering import PotentialSpec, scattering_length, solve_scattering
 from .spectrum import SpectrumKernel, build_kernel, depletion_mean
@@ -379,7 +379,7 @@ def cmd_tails(cfg: RunConfig) -> int:
 def cmd_observable(cfg: RunConfig) -> int:
     warnings: list = []
     kind = cfg.observable["kind"]
-    columns = ["lambda", "log_mgf_o", "mean_o", "certified_domain",
+    columns = ["lambda", "log_mgf_o", "mean_o", "contraction_bound",
                "fp_residual", "symmetry_residual", "exchange_residual"]
     rows = []
 
@@ -396,7 +396,7 @@ def cmd_observable(cfg: RunConfig) -> int:
             if abs(qv - cv) > 1e-8 * max(1.0, abs(cv)):
                 raise ArithmeticError(f"quadrature disagrees with the closed "
                                       f"form at lambda={lam:.9g}")
-            rows.append([lam, qv, mu_o, k.lambda0, abs(qv - cv), 0.0, 0.0])
+            rows.append([lam, qv, mu_o, 0.0, abs(qv - cv), 0.0, 0.0])
         _emit(cfg, "observable", columns, rows,
               {"lambda0": k.lambda0, "a16pi": k.a16pi, "observable": "identity",
                **quad_meta}, warnings)
@@ -415,29 +415,38 @@ def cmd_observable(cfg: RunConfig) -> int:
         work_k = _cube_kernel(cfg)
         obs = observable_from_csv(work_k.lattice, cfg.observable["path"])
 
-    # Lambda_O from the Gaussian determinant; one fixed point per lambda gives
-    # the residual columns and a Neumann slope that must match the determinant's
-    dom = certified_domain(work_k, obs)
-    lams = _lambda_grid(cfg, min(dom, work_k.lambda0), warnings)
+    # one fixed point per nonzero lambda gives the contraction bound q, the
+    # residual columns and a Neumann slope that must match the Gaussian
+    # determinant's; a row whose q is not below one is dropped
+    lams = _lambda_grid(cfg, work_k.lambda0, warnings)
+    solved = []  # (lambda, its fixed point; None at lambda = 0)
+    for lam in lams:
+        try:
+            solved.append((lam, solve_F(work_k, obs, float(lam)) if lam else None))
+        except NotContracting:
+            pass
+    if len(solved) < lams.size:
+        warnings.append(f"fixed-point bound q >= 1: dropped "
+                        f"{lams.size - len(solved)} of {lams.size} points")
+    kept = np.array([lam for lam, _ in solved])
     mu_o = observable_mean(work_k, obs)
     weight = np.outer(work_k.s, work_k.c) * obs.o
     slope_gap = 0.0
-    for lam, val, slope in zip(lams, *log_mgf_det(work_k, obs, lams)):
-        if lam != 0.0:
-            sol = solve_F(work_k, obs, float(lam))
-            res = (sol.residual, sol.symmetry_residual, sol.exchange_residual)
+    for (lam, sol), val, slope in zip(solved, *log_mgf_det(work_k, obs, kept)):
+        res = (0.0, 0.0, 0.0, 0.0)
+        if sol is not None:
             gap = (abs(float(np.sum(weight * sol.F).real) + mu_o - slope)
                    / max(1.0, abs(slope)))
             if gap > 1e-8:
                 raise ArithmeticError(f"Neumann slope disagrees with the "
                                       f"determinant at lambda={lam:.9g}")
             slope_gap = max(slope_gap, gap)
-        else:
-            res = (0.0, 0.0, 0.0)
-        rows.append([float(lam), float(val), mu_o, dom, *res])
+            res = (sol.bound, sol.residual, sol.symmetry_residual, sol.exchange_residual)
+        rows.append([float(lam), float(val), mu_o, *res])
+    iterations = max((sol.iterations for _, sol in solved if sol), default=0)
     _emit(cfg, "observable", columns, rows,
           {"lambda0": work_k.lambda0, "a16pi": work_k.a16pi, "observable": kind,
-           "slope_gap": slope_gap}, warnings)
+           "slope_gap": slope_gap, "neumann_iterations_max": iterations}, warnings)
     return EXIT_OK
 
 

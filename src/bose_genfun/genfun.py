@@ -159,7 +159,8 @@ def integrand_diagonal(k: SpectrumKernel, kappa):
 
 
 def log_mgf_closed(k: SpectrumKernel, lam: float) -> float:
-    """Closed product form -1/2 sum log(c^2 - e^{2 lambda} s^2)."""
+    """Closed product form -1/2 sum log(c^2 - e^{2 lambda} s^2), summed as
+    log1p(-expm1(2 lambda) s^2) by spectrum.log_mgf_derivatives."""
     return log_mgf_derivatives(k, lam, 0)[0]
 
 

@@ -14,10 +14,12 @@ normal-ordering, with no use of any cross-symmetry between F_{p,q} and
 conj(F_{q,p}), so D is antilinear (it acts on conj(F_{-l,k})).  They match
 the Fock-space oracle for any Hermitian O and are built from subtracted
 factors e^{kappa O} - 1, so O = 0 and kappa = 0 give exactly zero.  F is
-the Neumann series of D applied to A, summed while a certified bound on
-the norm of D stays below one.  Re sum s_p c_q O_pq F_pq + mu_O is
-Lambda_O', which the CLI holds against the determinant; the paper's
-quadrature of it is log_mgf_general in tests/kernel_reference.py.
+the Neumann series of D applied to A, summed only where the certified
+bound q on the norm of D is below one: solve_F reports q, or raises
+NotContracting, and the CLI drops and counts those grid rows.  Re sum s_p
+c_q O_pq F_pq + mu_O is Lambda_O', which the CLI holds against the
+determinant; the paper's quadrature of it is log_mgf_general in
+tests/kernel_reference.py.
 
 The linearized kernels printed in the source derivation rewrite
 conj(F_{l,k}) through that cross-symmetry, which holds only when O
@@ -41,7 +43,6 @@ from .spectrum import SpectrumKernel
 _EXP_ROUNDTRIP_TOL = 1e-12
 _NEUMANN_TOL = 1e-13
 _NEUMANN_MAX_TERMS = 400
-_BISECTION_STEPS = 80
 _EDGE_MARGIN = 1e-14  # above the rounding of a singular value near 1
 
 
@@ -150,7 +151,7 @@ def _exp_pair(obs: ObservableKernel, kappa: float) -> tuple[np.ndarray, np.ndarr
     ep = (u * np.exp(kappa * w)) @ u.conj().T
     em = (u * np.exp(-kappa * w)) @ u.conj().T
     if kappa != 0.0:
-        defect = np.linalg.norm(ep @ em - np.eye(obs.size), 2)
+        defect = np.linalg.svd(ep @ em - np.eye(obs.size), compute_uv=False)[0]
         if defect * math.exp(-abs(kappa) * (w[-1] - w[0])) > _EXP_ROUNDTRIP_TOL:
             raise ArithmeticError(f"matrix exponential roundtrip defect {defect:.3e}")
     return ep, em
@@ -206,7 +207,8 @@ def _apply(f: _Factors, F: np.ndarray) -> np.ndarray:
 
 
 def _bound(f: _Factors) -> float:
-    a1, a2, b1, b2 = (np.linalg.norm(x, 2) for x in (f.a1, f.a2, f.b1, f.b2))
+    norms = np.linalg.svd(np.stack((f.a1, f.a2, f.b1, f.b2)), compute_uv=False)
+    a1, a2, b1, b2 = norms[:, 0]
     return float(a1 * b1 + a2 * b2 + a2 * b1 + a1 * b2)
 
 
@@ -222,10 +224,15 @@ def d_norm_bound(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> floa
     return _bound(_Factors(k, obs, kappa))
 
 
+class NotContracting(ValueError):
+    """The certified bound q on the norm of D is not below one."""
+
+
 @dataclass(frozen=True, eq=False)
 class FixedPointSolution:
     kappa: float
     F: np.ndarray
+    bound: float  # q, the certified bound on the norm of D (d_norm_bound)
     residual: float
     iterations: int
     symmetry_residual: float
@@ -247,18 +254,19 @@ def solve_F(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> FixedPoin
     """Solve F = A + D[F] at fixed kappa by the Neumann series sum_j D^j[A].
 
     The series needs the certified contraction bound q = d_norm_bound < 1
-    and stops once a term's norm falls below _NEUMANN_TOL * (1 - q).  The
-    cross-symmetry residual is recorded, not enforced: it vanishes only
-    when O commutes with momentum negation and complex conjugation.
+    (NotContracting otherwise) and stops once a term's norm falls below
+    _NEUMANN_TOL * (1 - q).  The cross-symmetry residual is recorded, not
+    enforced: it vanishes only when O commutes with momentum negation and
+    complex conjugation.
     """
     if math.isfinite(k.lambda0) and abs(kappa) >= k.lambda0:
         raise ValueError(f"kappa {kappa} outside (-{k.lambda0}, {k.lambda0})")
     f = _Factors(k, obs, kappa)
-    a = _source(f)
     q = _bound(f)
     if q >= 1.0:
-        raise ValueError(f"fixed-point map is not a certified contraction "
-                         f"(bound {q:.3f} >= 1) at kappa={kappa}")
+        raise NotContracting(f"fixed-point map is not a certified contraction "
+                             f"(bound {q:.3f} >= 1) at kappa={kappa}")
+    a = _source(f)
     F = a.copy()
     term = a.copy()
     its = 0
@@ -272,34 +280,9 @@ def solve_F(k: SpectrumKernel, obs: ObservableKernel, kappa: float) -> FixedPoin
 
     residual = float(np.linalg.norm(F - (a + _apply(f, F))))
     sym, exch = _residuals(k, F)
-    return FixedPointSolution(kappa=kappa, F=F, residual=residual, iterations=its,
-                              symmetry_residual=sym, exchange_residual=exch)
-
-
-def certified_domain(k: SpectrumKernel, obs: ObservableKernel) -> float:
-    """Largest kappa with d_norm_bound(+-kappa) < 1, capped by lambda0 (by 4
-    when lambda0 is infinite).
-
-    Bisection; it ends early once the midpoint is no longer strictly inside
-    the bracket, since every later step would then leave the bracket as is.
-    """
-    hi_cap = k.lambda0 if math.isfinite(k.lambda0) else 4.0
-
-    def contracts(x: float) -> bool:
-        return d_norm_bound(k, obs, x) < 1.0 and d_norm_bound(k, obs, -x) < 1.0
-
-    if contracts(hi_cap * (1.0 - 1e-12)):
-        return hi_cap
-    lo, hi = 0.0, hi_cap
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if contracts(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return FixedPointSolution(kappa=kappa, F=F, bound=q, residual=residual,
+                              iterations=its, symmetry_residual=sym,
+                              exchange_residual=exch)
 
 
 def log_mgf_det(k: SpectrumKernel, obs: ObservableKernel,

@@ -111,16 +111,20 @@ def _derivative_polynomials(order: int) -> list[list[int]]:
 def log_mgf_derivatives(k: SpectrumKernel, lam: float, order: int) -> list[float]:
     """[Lambda(lam), Lambda'(lam), ..., Lambda^(order)(lam)], fsum-accumulated.
 
-    Lambda = -1/2 sum_p log(c_p^2 - e^{2 lam} s_p^2), exactly 0 at lam = 0.
-    The slope of mode p's term, g = e^{2 lam} s^2 / (c^2 - e^{2 lam} s^2),
-    obeys g' = 2g + 2g^2, so each Lambda^(j) sums an integer polynomial in g.
+    Lambda = -1/2 sum_p log(c_p^2 - e^{2 lam} s_p^2), exactly 0 at lam = 0,
+    is summed as log1p(-expm1(2 lam) s_p^2) (c^2 = 1 + s^2), which keeps the
+    relative precision of a tiny s_p^2.  The slope of mode p's term, g =
+    e^{2 lam} s^2 / (c^2 - e^{2 lam} s^2), obeys g' = 2g + 2g^2, so each
+    Lambda^(j) sums an integer polynomial in g.
     """
     _check_domain(k, lam)
-    xs2 = math.exp(2.0 * lam) * (k.s * k.s)
+    s2 = k.s * k.s
+    xs2 = math.exp(2.0 * lam) * s2
     args = k.c * k.c - xs2
     if np.any(args <= 0.0):
         raise ValueError("log argument nonpositive: lambda outside domain")
-    out = [0.0 if lam == 0.0 else -0.5 * math.fsum(np.log(args).tolist())]
+    out = [0.0 if lam == 0.0
+           else -0.5 * math.fsum(np.log1p(-math.expm1(2.0 * lam) * s2).tolist())]
     if order >= 1:
         g = xs2 / args  # polynomial coefficients start at g^1
         out += [math.fsum((np.polyval(coeffs[::-1], g) * g).tolist())

@@ -19,9 +19,11 @@ nothing from it.
 * The raw (unsubtracted) forms of both constructions, for raw == stabilized.
 * The Neumann-quadrature route to Lambda_O (``log_mgf_general``): the
   fixed point solved by the Neumann series at each quadrature node of
-  int_0^lambda Lambda_O'.  The package reports the Gaussian-determinant
-  closed form ``observable.log_mgf_det``, and the tests hold the two
-  against each other.
+  int_0^lambda Lambda_O', inside ``certified_domain``, the symmetric
+  interval on which d_norm_bound(+-kappa) < 1, found by bisection.  The
+  package reports the Gaussian-determinant closed form
+  ``observable.log_mgf_det``, and the tests hold the two against each
+  other.
 * A brute-force four-index tensor, a power-iteration estimate of the norm
   of D, and a realified dense solver for F = A + D[F], which also gives a
   third route to Lambda_O.
@@ -52,12 +54,14 @@ from bose_genfun.observable import (
     _Factors,
     _source,
     ObservableKernel,
-    certified_domain,
+    d_norm_bound,
     observable_mean,
     solve_F,
 )
 from bose_genfun.spectrum import (SpectrumKernel, _lambda0_from_tanh,
                                   depletion_mean)
+
+_BISECTION_STEPS = 80
 
 
 def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None,
@@ -327,6 +331,32 @@ def dense_solve(a, apply):
     rhs = np.concatenate([a.real.ravel(), a.imag.ravel()])
     x = scipy.linalg.solve(np.eye(2 * n * n) - m, rhs)
     return (x[:n * n] + 1j * x[n * n:]).reshape(n, n)
+
+
+def certified_domain(k: SpectrumKernel, obs: ObservableKernel) -> float:
+    """Largest kappa with d_norm_bound(+-kappa) < 1, capped by lambda0 (by 4
+    when lambda0 is infinite).
+
+    Bisection; it ends early once the midpoint is no longer strictly inside
+    the bracket, since every later step would then leave the bracket as is.
+    """
+    hi_cap = k.lambda0 if math.isfinite(k.lambda0) else 4.0
+
+    def contracts(x: float) -> bool:
+        return d_norm_bound(k, obs, x) < 1.0 and d_norm_bound(k, obs, -x) < 1.0
+
+    if contracts(hi_cap * (1.0 - 1e-12)):
+        return hi_cap
+    lo, hi = 0.0, hi_cap
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if contracts(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lams,

@@ -29,7 +29,6 @@ from bose_genfun.genfun import (
 )
 from bose_genfun.lattice import build_lattice, lattice_from_vectors
 from bose_genfun.observable import (
-    certified_domain,
     log_mgf_det,
     observable_random,
     solve_F,
@@ -42,8 +41,8 @@ from bose_genfun.spectrum import (
 )
 from bose_genfun.tails import chernoff_bound, nonconcentration_witness, quadratic_bound
 from fock_reference import depletion_distribution
-from kernel_reference import (kernel_from_nu, log_mgf_dense, log_mgf_general,
-                              observable_identity)
+from kernel_reference import (certified_domain, kernel_from_nu, log_mgf_dense,
+                              log_mgf_general, observable_identity)
 
 DESK = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
 

@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bose_genfun import cli, fockoracle
 from bose_genfun.cli import main
 from bose_genfun.fockoracle import mgf_oracle
-from bose_genfun.lattice import build_lattice
+from bose_genfun.lattice import build_lattice, lattice_from_vectors
+from bose_genfun.observable import d_norm_bound, observable_random, solve_F
 from bose_genfun.spectrum import build_kernel
 
 
@@ -221,7 +222,32 @@ def test_observable_random_seed_paths(tmp_path):
     for row in rows3:
         if float(row["lambda"]) != 0.0:
             assert float(row["fp_residual"]) < 1e-10
-        assert float(row["certified_domain"]) > 0.3
+        assert 0.0 <= float(row["contraction_bound"]) < 1.0
+
+
+def test_observable_drops_rows_past_the_contraction_bound(tmp_path):
+    # two-pair desk lattice, a = 0.05, seed 7: the bound q on the norm of D
+    # passes 1 at |lambda| = 4, inside lambda0 = 4.17, so those two rows are
+    # dropped and counted; every kept row reports its own q
+    body = {"potential": {"kind": "direct", "a": 0.05}, "cutoff_m": 1,
+            "observable": {"kind": "random", "pairs": 2, "seed": 7},
+            "lambda_grid": {"min": -4.0, "max": 4.0, "count": 9}}
+    code, text = run(tmp_path, "observable", body)
+    assert code == 0
+    meta, _, rows = parse_csv(text)
+    assert meta["warnings"] == "fixed-point bound q >= 1: dropped 2 of 9 points"
+    lat = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
+    k = build_kernel(lat, 16.0 * math.pi * 0.05)
+    obs = observable_random(lat, 7)
+    lams = np.linspace(-4.0, 4.0, 9)
+    assert d_norm_bound(k, obs, -4.0) >= 1.0 and d_norm_bound(k, obs, 4.0) >= 1.0
+    assert [float(row["lambda"]) for row in rows] == lams[1:-1].tolist()
+    for row in rows:
+        lam, q = float(row["lambda"]), float(row["contraction_bound"])
+        assert 0.0 <= q < 1.0
+        assert q == d_norm_bound(k, obs, lam)
+    assert int(meta["neumann_iterations_max"]) == max(
+        solve_F(k, obs, lam).iterations for lam in lams[1:-1] if lam)
 
 
 def test_observable_csv_route(tmp_path):

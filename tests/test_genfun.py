@@ -1,10 +1,10 @@
 """Log-MGF of the depletion number: quadrature route vs closed product form.
 
 The two routes are algebraically independent inside the package (adaptive
-quadrature of the diagonal integrand vs -1/2 sum log(c^2 - e^{2l} s^2)), so
-their agreement is a real check, not a tautology.  The package's numpy
-Gauss-Kronrod pass is also held against QUADPACK itself
-(kernel_reference.log_mgf_grid_quadpack).
+quadrature of the diagonal integrand vs -1/2 sum log(c^2 - e^{2l} s^2),
+summed as log1p), so their agreement is a real check, not a tautology.
+The package's numpy Gauss-Kronrod pass is also held against QUADPACK
+itself (kernel_reference.log_mgf_grid_quadpack).
 """
 
 import math
@@ -117,6 +117,18 @@ def test_quadrature_matches_closed_form():
         q = log_mgf(k, lam)
         c = log_mgf_closed(k, lam)
         assert abs(q - c) <= 1e-12 + 1e-10 * abs(c)
+
+
+@pytest.mark.parametrize("cutoff_m", [10, 40])
+def test_closed_form_to_the_last_digit(cutoff_m):
+    # the engine sums -1/2 log1p(-expm1(2 lam) s^2); log(c^2 - e^{2 lam} s^2)
+    # cancels against c^2 ~ 1 and was up to 5e-8 relative off here.  The
+    # quadrature shares none of the engine's code and is good to about 3e-16
+    k = build_kernel(build_lattice(cutoff_m), A16PI)
+    lams = np.array([-0.5, 0.1, 0.5])
+    for lam, quad in zip(lams, log_mgf_grid(k, lams)):
+        closed = log_mgf_closed(k, float(lam))
+        assert abs(closed - quad) <= 1e-14 * abs(quad)
 
 
 def test_grid_matches_pointwise_and_skips_nothing():

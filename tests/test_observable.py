@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import bose_genfun.observable as observable_mod
 from bose_genfun.fockoracle import build_space, mgf_oracle
 from bose_genfun.genfun import QuadratureSpec, log_mgf_closed
 from bose_genfun.lattice import build_lattice, lattice_from_vectors
 from bose_genfun.observable import (
-    certified_domain,
+    NotContracting,
     d_norm_bound,
     log_mgf_det,
     observable_from_csv,
@@ -31,6 +30,7 @@ from bose_genfun.observable import (
 from bose_genfun.observable import _apply, _bound, _exp_pair, _Factors, _residuals
 from bose_genfun.spectrum import build_kernel, depletion_mean
 from fock_reference import pair_amplitudes
+import kernel_reference
 from kernel_reference import (
     _apply_terms,
     _derived_bound,
@@ -38,6 +38,7 @@ from kernel_reference import (
     apply_D,
     apply_D_paper,
     apply_D_raw,
+    certified_domain,
     d_norm_estimate,
     d_tensor_bruteforce,
     dense_solve,
@@ -365,6 +366,19 @@ def test_solver_domain_and_cap_errors():
         solve_F(k, obs, 0.5 * (dom + k.lambda0))
 
 
+def test_solution_reports_its_contraction_bound():
+    # solve_F returns the q it checked, the same number as the one-shot
+    # certificate, and refuses q >= 1 with a ValueError subclass
+    k = desk_kernel()
+    obs = observable_random(DESK, seed=7)
+    for lam in (-3.0, -0.6, 0.3, 2.0):
+        assert solve_F(k, obs, lam).bound == d_norm_bound(k, obs, lam)
+    assert d_norm_bound(k, obs, 4.0) >= 1.0
+    with pytest.raises(NotContracting):
+        solve_F(k, obs, 4.0)
+    assert issubclass(NotContracting, ValueError)
+
+
 def test_solution_matches_fock_oracle_symmetric_class():
     k = desk_kernel()
     obs = observable_random(DESK, seed=7)
@@ -416,8 +430,8 @@ def test_certified_domain_bisects_to_float_resolution(monkeypatch):
     k = desk_kernel()
     obs = observable_random(DESK, seed=7)
     calls = []
-    real = observable_mod.d_norm_bound
-    monkeypatch.setattr(observable_mod, "d_norm_bound",
+    real = kernel_reference.d_norm_bound
+    monkeypatch.setattr(kernel_reference, "d_norm_bound",
                         lambda *args: calls.append(args[2]) or real(*args))
     dom = certified_domain(k, obs)
     assert dom < 0.99 * k.lambda0
