@@ -292,11 +292,9 @@ def cmd_scattering(cfg: RunConfig) -> int:
     if pot.kind in ("zero", "direct"):
         a_eff = scattering_length(pot, convention=cfg.convention)
         row = [pot.kind, a_eff, a_eff, a_eff, 0.0]
-    else:
-        # the solve scattering_length runs (v = 0 gives 0), done once here
-        sol = solve_scattering(pot, r_max=4.0 * pot.support_radius, n_grid=4096)
-        a_eff = (0.0 if pot.v == 0.0 else
-                 sol.a_paper if cfg.convention == "paper" else sol.a_std)
+    else:  # the solve scattering_length runs, kept for its other columns
+        sol = solve_scattering(pot)
+        a_eff = sol.length(cfg.convention)
         row = [pot.kind, sol.a_std, sol.a_paper, a_eff, sol.residual]
     a16pi = 16.0 * math.pi * a_eff
     # |nu_p| decreases with |p|^2 and every cube holds the |n|^2 = 1 shell,
@@ -358,9 +356,11 @@ def cmd_tails(cfg: RunConfig) -> int:
         ns = [mu + j * sigma for j in range(4)]
     columns = ["bound_type", "n", "lambda_star", "exponent", "bound",
                "m", "epsilon", "second_moment", "fourth_moment", "note"]
-    rows = []
+    rows, engine_calls = [], 0
     for n in ns:
-        for b, label in ((tailsmod.chernoff_bound(k, float(n), mu), "chernoff"),
+        chernoff = tailsmod.chernoff_bound(k, float(n), mu)
+        engine_calls = max(engine_calls, chernoff.engine_calls)
+        for b, label in ((chernoff, "chernoff"),
                          (tailsmod.quadratic_bound(k, float(n), mu, var), "quadratic")):
             rows.append([label, b.n, b.lambda_star, b.exponent, b.bound,
                          "", "", "", "", b.note])
@@ -372,7 +372,7 @@ def cmd_tails(cfg: RunConfig) -> int:
         warnings.append("witness skipped: zero-variance depletion")
     _emit(cfg, "tails", columns, rows,
           {"lambda0": k.lambda0, "a16pi": k.a16pi, "mean": mu,
-           "sigma": sigma}, warnings)
+           "sigma": sigma, "chernoff_engine_calls_max": engine_calls}, warnings)
     return EXIT_OK
 
 
@@ -393,7 +393,7 @@ def cmd_observable(cfg: RunConfig) -> int:
         mu_o = depletion_mean(k)
         grid, quad_meta = _scalar_grid(cfg, k, warnings)
         for lam, qv, cv in grid:
-            if abs(qv - cv) > 1e-8 * max(1.0, abs(cv)):
+            if abs(qv - cv) > 1e-8 * abs(cv):
                 raise ArithmeticError(f"quadrature disagrees with the closed "
                                       f"form at lambda={lam:.9g}")
             rows.append([lam, qv, mu_o, 0.0, abs(qv - cv), 0.0, 0.0])

@@ -8,18 +8,19 @@ identically (divergence theorem on the scattering equation), which the
 solver exposes as a cross-check rather than assuming wherever a_std is
 well conditioned.
 
-Inside the support R the solver runs fixed-step RK4 with R as a grid
-node.  The equation is linear, so each step maps (u, u') by a 2x2 matrix
-that depends only on V at the step's start, midpoint and end; all step
-matrices are built at once from three array evaluations of V and then
-applied in one pass.  Outside R, where RK4 would be exact, u is written
-as the line through the edge state, and a_std = R - u(R)/u'(R) is read
-from that state.  For a weak well that subtraction cancels to about
-R (kappa R)^2 / 3 and loses log2(R / a_std) bits, while the volume
-integral sums nonnegative terms; past a 2^5 cancellation a_std is taken
-as a_paper / (8 pi) instead.  a_paper is a composite Simpson sum over the
-interior nodes.  The reported residual is a step-halving (Richardson)
-error estimate.
+The solver marches only the support [0, R]: fixed-step RK4 with 1024
+steps, R the last node.  The equation is linear, so each step maps
+(u, u') by a 2x2 matrix that depends only on V at the step's start,
+midpoint and end; all step matrices are built at once from three array
+evaluations of V and then applied in one pass.  The step count doubles
+(at most six times) until a step-halving (Richardson) residual over
+[0, 4R] is at most 1e-10; outside R, where u is the line through the edge
+state, that residual needs only the values at R and 4R.  a_std =
+R - u(R)/u'(R) is read from the edge state.  For a weak well that
+subtraction cancels to about R (kappa R)^2 / 3 and loses log2(R / a_std)
+bits, while the volume integral sums nonnegative terms; past a 2^5
+cancellation a_std is taken as a_paper / (8 pi) instead.  a_paper is a
+uniform composite Simpson sum over the march's nodes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _RESIDUAL_TOL = 1e-10
+_STEPS = 1024  # RK4 steps on [0, R] before any doubling
 _MAX_REFINEMENTS = 6
+_WINDOW = 4.0  # the residual is taken over [0, _WINDOW * R]
 # Above this R / a_std the edge-state subtraction is less accurate than
 # a_paper / (8 pi): over square wells their errors cross near R / a_std = 32
 # (both about 1e-13 relative there), over truncated Gaussians at 20-100
@@ -85,11 +88,17 @@ class PotentialSpec:
 
 @dataclass(frozen=True, eq=False)
 class ScatteringSolution:
+    """The accepted march on [0, R], both lengths and the residual."""
+
     r: np.ndarray
     u: np.ndarray
     a_std: float
     a_paper: float
     residual: float
+
+    def length(self, convention: str) -> float:
+        """The scattering quantity of a convention: a_paper or a_std."""
+        return self.a_paper if convention == "paper" else self.a_std
 
 
 def _rk4_step(w1, w2, w3, h, u, du):
@@ -103,108 +112,72 @@ def _rk4_step(w1, w2, w3, h, u, du):
             du + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d))
 
 
-def _div(a, b):
-    """a / b, and 0 where b is 0 (scipy's guard for repeated nodes)."""
-    return np.divide(a, b, out=np.zeros_like(b), where=b != 0)
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson sum of samples y at an odd number of nodes h apart."""
+    w = np.full(y.size, 2.0)
+    w[1::2], w[0], w[-1] = 4.0, 1.0, 1.0
+    return h / 3.0 * float(w @ y)
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson sum of samples y at increasing nodes x (at least 3),
-    in the operations and order of scipy.integrate.simpson: each pair of
-    intervals is weighted by its own two spacings, and an even point count
-    is closed by the last-interval correction of Cartwright (2017)."""
-    h = np.diff(x)
-    n = y.size - 1 + y.size % 2  # the odd count that pairs of intervals cover
-    h0, h1 = h[0:n - 2:2], h[1:n - 1:2]
-    hsum, ratio = h0 + h1, _div(h0, h1)
-    total = np.sum(hsum / 6.0 * (y[0:n - 2:2] * (2.0 - _div(1.0, ratio))
-                                 + y[1:n - 1:2] * (hsum * _div(hsum, h0 * h1))
-                                 + y[2:n:2] * (2.0 - ratio)))
-    if n < y.size:
-        a, b = h[-2], h[-1]
-        total += (_div(2 * b ** 2 + 3 * a * b, 6 * (b + a)) * y[-1]
-                  + _div(b ** 2 + 3.0 * a * b, 6 * a) * y[-2]
-                  - _div(b ** 3, 6 * a * (a + b)) * y[-3])
-    return float(total)
-
-
-def _integrate(pot, r_max, n_grid):
-    """Profile on [0, r_max] with the support edge as a grid node, and the
-    state (u, u') at the edge."""
+def _integrate(pot, n):
+    """n RK4 steps across the support: the nodes, u there, u' at the edge."""
     edge = pot.support_radius
-    if edge == 0.0:  # V = 0 everywhere: u(r) = r exactly
-        rs = np.linspace(0.0, r_max, n_grid + 1)
-        return rs, rs.copy(), (0.0, 1.0)
-    n_in = max(32, int(round(n_grid * edge / r_max)))
-    n_out = max(32, n_grid - n_in)
-    h = edge / n_in
-    r_in = np.arange(n_in + 1) * h
-    r_in[-1] = edge  # n_in * h can round past the edge
+    h = edge / n
+    r = np.arange(n + 1) * h
+    r[-1] = edge  # n * h can round past the edge
     # V/2 at the three stage points of every step; the clamp keeps the last
     # step on the smooth restriction of V to [0, edge]
     w1, w2, w3 = (0.5 * pot.evaluate(np.minimum(x, edge))
-                  for x in (r_in[:-1], r_in[:-1] + 0.5 * h, r_in[:-1] + h))
+                  for x in (r[:-1], r[:-1] + 0.5 * h, r[:-1] + h))
     # the equation is linear, so a step maps (u, u') by a 2x2 matrix whose
     # columns are the step applied to (1, 0) and to (0, 1)
-    one, zero = np.ones(n_in), np.zeros(n_in)
+    one, zero = np.ones(n), np.zeros(n)
     m00, m10, m01, m11 = (x.tolist() for col in ((one, zero), (zero, one))
                           for x in _rk4_step(w1, w2, w3, h, *col))
     u, du = 0.0, 1.0
-    u_in = [u]
+    us = [u]
     for a, b, c, d in zip(m00, m01, m10, m11):
         u, du = a * u + b * du, c * u + d * du
-        u_in.append(u)
-    # V = 0 outside, where u is exactly linear (RK4 would reproduce it)
-    r_out = edge + np.arange(1, n_out + 1) * ((r_max - edge) / n_out)
-    u_out = u + du * (r_out - edge)
-    return np.concatenate([r_in, r_out]), np.concatenate([u_in, u_out]), (u, du)
+        us.append(u)
+    return r, np.array(us), du
 
 
 # an overflowing march (huge v or radius) leaves a non-finite residual, which
 # the refinement loop reports as non-convergence; numpy need not warn too
 @np.errstate(over="ignore", invalid="ignore")
-def solve_scattering(pot: PotentialSpec, r_max: float, n_grid: int) -> ScatteringSolution:
-    if pot.kind == "direct":
-        raise ValueError("direct potentials bypass the solver")
-    if n_grid < 64:
-        raise ValueError("n_grid must be at least 64")
-    if pot.support_radius > 0 and r_max < 2.0 * pot.support_radius:
-        raise ValueError("r_max smaller than twice the support radius")
-    if r_max <= 0:
-        raise ValueError("r_max must be positive")
+def solve_scattering(pot: PotentialSpec) -> ScatteringSolution:
+    edge = pot.support_radius
+    if edge == 0.0:
+        raise ValueError(f"{pot.kind} potentials have no profile to solve")
+    if not edge / (_STEPS << _MAX_REFINEMENTS) >= np.finfo(float).tiny:
+        raise ValueError(f"support radius {edge!r} is too small to march")
 
-    n = n_grid
-    r, u, (u_edge, du_edge) = _integrate(pot, r_max, n)
-    residual = math.inf
+    n = _STEPS
+    r, u, du = _integrate(pot, n)
+    span = (_WINDOW - 1.0) * edge  # the part of the window past the support
     for _ in range(_MAX_REFINEMENTS):
-        r2, u2, edge_state = _integrate(pot, r_max, 2 * n)
-        # common nodes of the two grids are every other fine node per segment;
-        # interpolation is adequate for the estimate
-        u_on_r = np.interp(r, r2, u2)
-        residual = float(np.max(np.abs(u_on_r - u)) / max(np.max(np.abs(u2)), 1e-300))
+        r2, u2, du2 = _integrate(pot, 2 * n)
+        # the fine nodes hold every coarse node; outside R both profiles
+        # are lines, so their gap there peaks at R or at the window's end
+        far, far2 = u[-1] + du * span, u2[-1] + du2 * span
+        # u rises from 0, so far2 is the largest |u2| in the window
+        residual = float(np.max(np.abs(u2[::2] - u), initial=abs(far2 - far))) / far2
         if residual <= _RESIDUAL_TOL:
             break
         n *= 2
-        r, u, (u_edge, du_edge) = r2, u2, edge_state
+        r, u, du = r2, u2, du2
     else:
         raise ValueError(f"scattering grid did not converge (residual {residual:.3e})")
 
     # outside the support u = u'(R) (r - R) + u(R) = u'(R) (r - a_std)
-    edge = pot.support_radius
-    a_std = edge - u_edge / du_edge
-    if edge > 0.0:
-        inside = r[r <= edge]
-        vals = pot.evaluate(inside) * u[:inside.size] * inside / du_edge
-        a_paper = 4.0 * math.pi * _simpson(vals, inside)
-        if a_std * _CANCELLATION_CAP < edge:
-            a_std = a_paper / (8.0 * math.pi)
-    else:
-        a_paper = 0.0
+    a_std = edge - float(u[-1]) / du
+    a_paper = 4.0 * math.pi * _simpson(pot.evaluate(r) * u * r / du, edge / n)
+    if a_std * _CANCELLATION_CAP < edge:
+        a_std = a_paper / (8.0 * math.pi)
     return ScatteringSolution(r=r, u=u, a_std=a_std, a_paper=a_paper, residual=residual)
 
 
-def scattering_length(pot: PotentialSpec, convention: str = "paper",
-                      r_max: float | None = None, n_grid: int = 4096) -> float:
+def scattering_length(pot: PotentialSpec, convention: str = "paper") -> float:
     """The scattering quantity fed into the pairing amplitudes.
 
     convention="paper" returns the volume integral int V f dx; "standard"
@@ -215,9 +188,6 @@ def scattering_length(pot: PotentialSpec, convention: str = "paper",
         raise ValueError("convention must be 'paper' or 'standard'")
     if pot.kind == "direct":
         return pot.a
-    if pot.kind == "zero" or pot.v == 0.0:
+    if pot.kind == "zero":
         return 0.0
-    if r_max is None:
-        r_max = 4.0 * pot.support_radius
-    sol = solve_scattering(pot, r_max, n_grid)
-    return sol.a_paper if convention == "paper" else sol.a_std
+    return solve_scattering(pot).length(convention)

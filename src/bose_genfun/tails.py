@@ -28,6 +28,7 @@ class TailBound:
     exponent: float
     bound: float
     note: str = ""
+    engine_calls: int = 0  # log_mgf_derivatives calls spent on lambda_star
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,9 @@ class NonConcentrationWitness:
     fourth_moment: float
 
 
-def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float]:
-    """lambda in (0, lambda0) with Lambda'(lambda) = n > mu, and Lambda there.
+def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float, int]:
+    """lambda in (0, lambda0) with Lambda'(lambda) = n > mu, Lambda there,
+    and the number of engine calls spent.
 
     Lambda' rises from mu at 0 to +inf at lambda0 and is convex on
     (0, lambda0) (g > 0 there and every derivative polynomial of g has
@@ -51,7 +53,7 @@ def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float]:
     that no input can keep the loop running.
     """
     lam, step = 0.5 * k.lambda0, math.inf
-    for _ in range(_ENGINE_CALL_CAP):
+    for calls in range(1, _ENGINE_CALL_CAP + 1):
         value, slope, curv = log_mgf_derivatives(k, lam, 2)
         if step == math.inf and slope <= n:  # left of the root
             lam = 0.5 * (lam + k.lambda0)
@@ -60,7 +62,7 @@ def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float]:
             continue
         new_step = (slope - n) / curv
         if not abs(new_step) < abs(step):
-            return lam, value
+            return lam, value, calls
         lam, step = lam - new_step, new_step
     raise ArithmeticError(f"no lambda in (0, {k.lambda0}) with Lambda' = {n} "
                           f"after {_ENGINE_CALL_CAP} closed-form evaluations")
@@ -82,10 +84,10 @@ def chernoff_bound(k: SpectrumKernel, n: float, mu: float) -> TailBound:
     if n <= mu:
         return TailBound(n=n, lambda_star=0.0, exponent=0.0, bound=1.0,
                          note="n does not exceed the mean; trivial bound")
-    lam_star, value = _solve_slope(k, n)
+    lam_star, value, calls = _solve_slope(k, n)
     exponent = max(lam_star * n - value, 0.0)
     return TailBound(n=n, lambda_star=lam_star, exponent=exponent,
-                     bound=math.exp(-exponent))
+                     bound=math.exp(-exponent), engine_calls=calls)
 
 
 def quadratic_bound(k: SpectrumKernel, n: float, mu: float,

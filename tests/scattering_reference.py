@@ -1,11 +1,15 @@
 """Reference scalar RK4 for the zero-energy scattering solve (tests only).
 
-The package's solver builds the 2x2 RK4 step matrix of every step at once
-and writes the exterior in closed form.  This module keeps the scalar RK4
-it replaced, one potential evaluation per stage and one step at a time
-through the exterior too, and the least-squares fit of the exterior line
-for a_std.  It has no ``test_`` prefix, so pytest imports it but collects
-nothing from it.
+The package's solver marches only the support [0, R] (1024 steps, doubled
+as needed), builds the 2x2 RK4 step matrix of every step at once, takes
+the exterior part of its residual from the edge lines at R and 4R, and
+sums a_paper with a uniform Simpson rule.  This module keeps the scalar
+RK4 it replaced, called on the window [0, 4R] with n_grid = 4096 (1024
+steps inside R): one potential evaluation per stage, one step at a time
+through the exterior too, interpolation onto the coarse grid for the
+residual, the least-squares fit of the exterior line for a_std and
+scipy's Simpson rule.  It has no ``test_`` prefix, so pytest imports it
+but collects nothing from it.
 """
 
 import math

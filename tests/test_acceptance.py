@@ -236,8 +236,7 @@ def test_criterion_7_generator_identities():
 def test_criterion_8_scattering_solver():
     # square well against the closed form R - tanh(kR)/k, k = sqrt(v/2),
     # and the weak-coupling Born value within 1%
-    sol = solve_scattering(PotentialSpec(kind="square_well", v=1.0, radius=0.1),
-                           r_max=0.4, n_grid=4096)
+    sol = solve_scattering(PotentialSpec(kind="square_well", v=1.0, radius=0.1))
     kap = math.sqrt(0.5)
     exact = 0.1 - math.tanh(kap * 0.1) / kap
     rel = abs(sol.a_std - exact) / exact

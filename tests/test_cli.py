@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bose_genfun import cli, fockoracle
+from bose_genfun import cli, fockoracle, tails
 from bose_genfun.cli import main
 from bose_genfun.fockoracle import mgf_oracle
 from bose_genfun.lattice import build_lattice, lattice_from_vectors
@@ -83,6 +83,35 @@ def test_scattering_lambda0_is_the_cube_lambda0(tmp_path, a):
     assert float(meta["lambda0"]) == cube.lambda0
 
 
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("potential", [
+    {"kind": "square_well", "v": 0.0, "radius": 0.1},
+    {"kind": "gaussian_truncated", "v": 0.0, "width": 0.05, "radius": 0.1}])
+def test_zero_height_well_scatters_nothing(tmp_path, potential, convention):
+    body = {"potential": potential, "convention": convention, "cutoff_m": 1}
+    code, text = run(tmp_path, "scattering", body)
+    assert code == 0
+    meta, _, rows = parse_csv(text)
+    for column in ("a_std", "a_paper", "a_effective"):
+        assert float(rows[0][column]) == 0.0
+    assert float(rows[0]["residual"]) <= 1e-10
+    assert meta["lambda0"] == "inf"
+    code, text = run(tmp_path, "moments", body, out_name="moments.txt")
+    assert code == 0
+    assert float(parse_csv(text)[2][0]["mean"]) == 0.0
+
+
+@pytest.mark.parametrize("command", ["scattering", "moments"])
+def test_support_radius_too_small_to_march_exits_3(tmp_path, capsys, command):
+    # the finest RK4 step R / 65536 of R = 5e-324 is 0
+    body = {"potential": {"kind": "square_well", "v": 1.0, "radius": 5e-324},
+            "cutoff_m": 1}
+    code, text = run(tmp_path, command, body)
+    assert code == 3 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: support radius") and err.count("\n") == 1
+
+
 def test_genfun_quadrature_failure_exits_3(tmp_path, capsys):
     body = {"potential": {"kind": "direct", "a": 0.01}, "cutoff_m": 10,
             "lambda_grid": {"min": 5.0, "max": 5.0, "count": 1},
@@ -146,6 +175,36 @@ def test_tails_default_and_override(tmp_path):
         == {"0.5", "1.5"}
 
 
+def test_tails_reports_the_chernoff_engine_calls(tmp_path, monkeypatch):
+    # one counter per Chernoff row, fed by every closed-form engine call
+    # the tails module makes while that row is solved
+    per_row = []
+    bound, engine = tails.chernoff_bound, tails.log_mgf_derivatives
+
+    def counted_bound(*args):
+        per_row.append(0)
+        return bound(*args)
+
+    def counted_engine(*args):
+        per_row[-1] += 1
+        return engine(*args)
+
+    monkeypatch.setattr(tails, "chernoff_bound", counted_bound)
+    monkeypatch.setattr(tails, "log_mgf_derivatives", counted_engine)
+    body = {"potential": {"kind": "direct", "a": 0.02}, "cutoff_m": 2}
+    code, text = run(tmp_path, "tails", body)
+    assert code == 0
+    assert len(per_row) == 4 and per_row[0] == 0  # n = mu is a trivial row
+    meta = parse_csv(text)[0]
+    assert int(meta["chernoff_engine_calls_max"]) == max(per_row) > 0
+
+    per_row.clear()
+    code, text = run(tmp_path, "tails", body, extra=("--n-list", "0,-1"))
+    assert code == 0
+    assert per_row == [0, 0]
+    assert parse_csv(text)[0]["chernoff_engine_calls_max"] == "0"
+
+
 @pytest.mark.parametrize("n_list", ["nan", "abc", "inf"])
 def test_tails_bad_n_list_exits_2(tmp_path, capsys, n_list):
     code, text = run(tmp_path, "tails", BASE, extra=("--n-list", f"0.5,{n_list}"))
@@ -205,6 +264,31 @@ def test_observable_identity_disagreement_exits_3(tmp_path, capsys):
     assert code == 3 and text is None
     err = capsys.readouterr().err
     assert err.startswith("domain error: quadrature disagrees") and err.count("\n") == 1
+
+
+def test_observable_identity_check_is_relative_at_small_lambda(
+        tmp_path, capsys, monkeypatch):
+    # |Lambda(0.1)| is below 1e-3 here, so a quadrature 1e-9 off is 1e-6
+    # off relative to it; a check against 1e-8 max(1, |Lambda|) let it pass
+    body = dict(BASE, observable={"kind": "identity"},
+                lambda_grid={"min": -0.1, "max": 0.1, "count": 3})
+    code, text = run(tmp_path, "observable", body)
+    assert code == 0
+    rows = parse_csv(text)[2]
+    assert rows[1]["log_mgf_o"] == "0" and rows[1]["fp_residual"] == "0"
+    assert 0.0 < abs(float(rows[2]["log_mgf_o"])) < 1e-3
+    real = cli.log_mgf_grid
+
+    def off(k, lams, quad, stats):
+        return real(k, lams, quad, stats) + np.where(lams == 0.1, 1e-9, 0.0)
+
+    monkeypatch.setattr(cli, "log_mgf_grid", off)
+    capsys.readouterr()
+    code, text = run(tmp_path, "observable", body, out_name="obs.txt")
+    assert code == 3 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: quadrature disagrees with the closed "
+                          "form at lambda=0.1")
 
 
 def test_observable_random_seed_paths(tmp_path):
