@@ -3,17 +3,17 @@
 Everything here is brute force on purpose: occupation-number bases for one
 or two +/-p mode pairs, ladder operators read off the occupation table,
 matrix exponentials, and direct evaluation of squeezed-vacuum expectations.
-The rest of the package is validated against these numbers.
+The package is validated against them; truncation error is always reported.
 
-The Bogoliubov generator is K = sum_pairs nu * (a*_p a*_{-p} - a_p a_{-p}),
-the (anti-Hermitian) form whose conjugation action is
-e^{-K} a_p e^{K} = cosh(nu) a_p + sinh(nu) a*_{-p}.  A ladder word sends a
-basis state to at most one state, so operators are dense blocks between
-conserved-charge sectors: dGamma(O) conserves the total number, K each
-pair's n_{+p} - n_{-p}.  Every exponential is one scaled Taylor routine
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011); an eigendecomposition
-would leave absolute rounding in the small tail amplitudes, which e^{lam N}
-amplifies.  Truncation error is always estimated and reported.
+The Bogoliubov generator is the anti-Hermitian K = sum_pairs nu *
+(a*_p a*_{-p} - a_p a_{-p}), so e^{-K} a_p e^{K} = cosh(nu) a_p + sinh(nu)
+a*_{-p}.  A ladder word sends a basis state to at most one state, so
+operators are dense blocks between conserved-charge sectors (dGamma(O)
+keeps the total number, K each pair's n_{+p} - n_{-p}); the defect checks
+stack them, zero-padded.  Exponentials are scaled Taylor sums (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 2011), each block scaled by its own
+ceil(1-norm), then powered by products: an eigendecomposition would leave
+absolute rounding in the small tail amplitudes, which e^{lam N} amplifies.
 """
 
 from __future__ import annotations
@@ -106,27 +106,29 @@ def _dgamma(space: FockSpace, o: np.ndarray, src: np.ndarray) -> list:
 def _k(space: FockSpace, nu_by_pair, src: np.ndarray) -> list:
     """Images of src under K = sum_i nu_i (a*_{2i} a*_{2i+1} - a_{2i} a_{2i+1})."""
     nu_by_pair = np.asarray(nu_by_pair, dtype=float)
-    if nu_by_pair.shape != (space.pairs,):
-        raise ValueError("need one nu per pair")
+    if nu_by_pair.shape != (space.pairs,) or not np.isfinite(nu_by_pair).all():
+        raise ValueError("nu_by_pair must hold one finite nu per pair")
     return [_ladder(space, [(2 * i, step), (2 * i + 1, step)], src, step * nu)
             for i, nu in enumerate(nu_by_pair) if nu != 0.0 for step in (1, -1)]
 
 
-def _block(space: FockSpace, images: list, src: np.ndarray, dst: np.ndarray):
-    """The dense block <dst|X|src> of X, given X's images of src.
-
-    Raises ArithmeticError if X sends a state of src outside dst, so the
-    sector structure is checked, not assumed.
-    """
-    row_of = np.full(space.dim, -1)
-    row_of[dst] = np.arange(len(dst))
-    block = np.zeros((len(dst), len(src)), np.result_type(float, *(v for _, v in images)))
+def _stack(space: FockSpace, images: list, src: list, dst: list) -> np.ndarray:
+    """Zero-padded blocks out[i] = <dst[i]|X|src[i]> of X, given X's images of
+    the states np.concatenate(src).  Raises ArithmeticError if X sends a state
+    of src[i] outside dst[i], so the sector structure is checked, not assumed."""
+    slot, row = np.full(space.dim, -1), np.zeros(space.dim, np.intp)
+    for i, idx in enumerate(dst):
+        slot[idx], row[idx] = i, np.arange(len(idx))
+    block, col = np.hstack([(np.full(len(idx), i), np.arange(len(idx)))
+                            for i, idx in enumerate(src)])
+    width = max(len(idx) for idx in src + dst)
+    out = np.zeros((len(src), width, width), np.result_type(float, *(v for _, v in images)))
     for d, val in images:
         live = np.flatnonzero(val)
-        if np.any(row_of[d[live]] < 0):
+        if np.any(slot[d[live]] != block[live]):
             raise ArithmeticError("operator couples two conserved-charge sectors")
-        block[row_of[d[live]], live] += val[live]
-    return block
+        out[block[live], row[d[live]], col[live]] += val[live]
+    return out
 
 
 def _sectors(charge: np.ndarray) -> dict:
@@ -162,6 +164,26 @@ def _expm(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _expm_apply(block.__matmul__, x, np.abs(block).sum(axis=-2).max(initial=0.0))
 
 
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """e^{A_i} for each block of a stack: one Taylor run sums every e^{A_i/s_i},
+    s_i = ceil(||A_i||_1), until no entry moves; then T_i^{s_i} by products."""
+    s = np.maximum(1.0, np.ceil(np.abs(a).sum(axis=-2).max(axis=-1)))[:, None, None]
+    total = np.tile(np.eye(a.shape[-1], dtype=a.dtype), (len(a), 1, 1))
+    term, tmp, new, k = total.copy(), np.empty_like(total), np.empty_like(total), 0
+    while True:
+        k += 1
+        parts = np.matmul(a, term, out=tmp).view(np.float64)  # complex / real is slow
+        np.divide(parts, k * s, out=parts)
+        np.add(total, tmp, out=new)
+        if not (new.view(np.float64) != total.view(np.float64)).any():
+            break
+        total, new, term, tmp = new, total, tmp, term
+    term[...] = total  # becomes T_i^{s_i}
+    for r in range(2, int(s.max()) + 1):
+        np.copyto(term, np.matmul(term, total, out=tmp), where=s >= r)
+    return term
+
+
 def _top_shell_mass(space: FockSpace, v: np.ndarray) -> float:
     top = np.any(space.occupations >= space.n_max - 1, axis=1)
     return float(np.sum(np.abs(v[top]) ** 2))
@@ -175,7 +197,7 @@ def squeezed_vacuum(space: FockSpace, nu_by_pair) -> tuple[np.ndarray, float]:
     occ = space.occupations
     idx = np.flatnonzero(np.all(occ[:, 0::2] == occ[:, 1::2], axis=1))
     v = space.vacuum()
-    v[idx] = _expm(_block(space, _k(space, nu_by_pair, idx), idx, idx), v[idx].real)
+    v[idx] = _expm(_stack(space, _k(space, nu_by_pair, idx), [idx], [idx])[0], v[idx].real)
     return v, abs(1.0 - float(np.vdot(v, v).real)) + _top_shell_mass(space, v)
 
 
@@ -190,8 +212,8 @@ def mgf_oracle(space: FockSpace, nu_by_pair, o_small, lam: float,
     required_accuracy.
     """
     o_small = np.asarray(o_small, dtype=complex)
-    if o_small.shape != (space.modes, space.modes):
-        raise ValueError("one-body matrix must be modes x modes")
+    if o_small.shape != (space.modes, space.modes) or not np.isfinite(o_small).all():
+        raise ValueError("one-body matrix o_small must be finite and modes x modes")
     if not np.allclose(o_small, o_small.conj().T, rtol=0, atol=1e-13):
         raise ValueError("one-body matrix must be Hermitian")
     v, est = squeezed_vacuum(space, nu_by_pair)
@@ -224,31 +246,33 @@ def _conjugation_defect(space: FockSpace, charge: np.ndarray, shift, x_images,
                         l_images, r_images, keep: np.ndarray) -> float:
     """Spectral norm of (e^X L e^{-X} - R)[:, keep], where X conserves
     `charge`, L and R add `shift` to it, and *_images give each operator's
-    images of a sector's states.
-
-    Each sector then maps into exactly one other, so the norm is the
-    largest over sector blocks; e^{+-X} are taken once per sector, in one
-    Taylor run on the identity.
+    images of an array of states.  Each sector maps into exactly one other,
+    so the norm is the largest over the (source, target) sector pairs holding
+    a kept state.  e^{+X} on targets and e^{-X} on sources are zero-padded
+    stacks, one Taylor run per padded width (powers of two up to the widest
+    block); padding is exact, as e^{diag(A, 0)} = diag(e^A, I).
     """
-    sectors, exps = _sectors(charge), {}
-
-    def e_pm(c):
-        if c not in exps:
-            idx = sectors[c]
-            x = _block(space, x_images(idx), idx, idx)
-            exps[c] = _expm(np.stack([x, -x]),
-                            np.broadcast_to(np.eye(len(x)), (2,) + x.shape))
-        return exps[c]
-
-    worst = 0.0
-    for c, src in sectors.items():
-        t = tuple(np.add(c, shift).tolist())
-        if t in sectors and keep[src].any():  # else no kept state, or L, R empty src
-            dst = sectors[t]
-            lhs = e_pm(t)[0] @ _block(space, l_images(src), src, dst) @ e_pm(c)[1]
-            defect = (lhs - _block(space, r_images(src), src, dst))[:, keep[src]]
-            worst = max(worst, float(np.linalg.norm(defect, 2)))
-    return worst
+    if not keep.any():
+        raise ValueError("no basis state is kept: the defect would be vacuous")
+    sectors = _sectors(charge)
+    pairs = [(c, t) for c in sectors if keep[sectors[c]].any()
+             for t in [tuple(np.add(c, shift).tolist())] if t in sectors]
+    used = list(dict.fromkeys(key for pair in pairs for key in pair))
+    idx = [sectors[key] for key in used]
+    x = _stack(space, x_images(np.concatenate(idx)), idx, idx)
+    src, dst = [sectors[c] for c, _ in pairs], [sectors[t] for _, t in pairs]
+    l, r = (_stack(space, op(np.concatenate(src)), src, dst) for op in (l_images, r_images))
+    exps, want = {}, [(1, t) for _, t in pairs] + [(-1, c) for c, _ in pairs]
+    pad = {key: min(1 << (len(sectors[key]) - 1).bit_length(), x.shape[-1]) for key in used}
+    for p in sorted(set(pad.values())):
+        group = [(sign, key) for sign, key in want if pad[key] == p]
+        a = np.stack([sign * x[used.index(key), :p, :p] for sign, key in group])
+        exps.update(zip(group, _expm_stack(a)))
+    for i, (c, t) in enumerate(pairs):  # r becomes the defect, in place
+        m, n = len(dst[i]), len(src[i])
+        r[i, :m, :n] -= exps[1, t][:m, :m] @ l[i, :m, :n] @ exps[-1, c][:n, :n]
+        r[i, :, :n][:, ~keep[src[i]]] = 0.0
+    return float(np.linalg.svd(r, compute_uv=False)[:, 0].max())
 
 
 def bch_check(space: FockSpace, o_small, mode: int) -> float:
@@ -259,8 +283,9 @@ def bch_check(space: FockSpace, o_small, mode: int) -> float:
     total number, so both exponentials are taken sector by sector.
     """
     o_small = np.asarray(o_small, dtype=complex)
-    if o_small.shape != (space.modes, space.modes) or not 0 <= mode < space.modes:
-        raise ValueError("one-body matrix must be modes x modes, mode one of them")
+    if (o_small.shape != (space.modes, space.modes) or not np.isfinite(o_small).all()
+            or not 0 <= mode < space.modes):
+        raise ValueError("o_small must be finite and modes x modes, mode one of them")
     col = _expm(o_small, np.eye(space.modes)[:, mode])
     total = space.occupations.sum(axis=1)
     return _conjugation_defect(

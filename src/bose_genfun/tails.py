@@ -48,9 +48,9 @@ def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float, int]:
     (0, lambda0) (g > 0 there and every derivative polynomial of g has
     positive coefficients), so Newton started from any point where
     Lambda' > n decreases monotonically onto the root.  Such a point is found by
-    bisecting towards lambda0; Newton then runs until its step stops
-    shrinking, which is the rounding floor.  Engine calls are capped so
-    that no input can keep the loop running.
+    bisecting towards lambda0; Newton then returns as soon as |Lambda' - n|
+    <= 4 * 2^-52 * n, or else once its step stops shrinking (the rounding
+    floor).  Engine calls are capped so that no input can keep it running.
     """
     lam, step = 0.5 * k.lambda0, math.inf
     for calls in range(1, _ENGINE_CALL_CAP + 1):
@@ -61,7 +61,7 @@ def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float, int]:
                 break
             continue
         new_step = (slope - n) / curv
-        if not abs(new_step) < abs(step):
+        if abs(slope - n) <= 4 * 2.0**-52 * n or not abs(new_step) < abs(step):
             return lam, value, calls
         lam, step = lam - new_step, new_step
     raise ArithmeticError(f"no lambda in (0, {k.lambda0}) with Lambda' = {n} "

@@ -6,7 +6,9 @@ with one scaled Taylor routine in numpy.  This module keeps the scipy code
 it replaced: the sparse ladder builders (a, a*, dGamma(O), K), the
 sector-by-sector ``scipy.linalg.expm`` pair, and the dense bodies that
 exponentiate the whole truncated space at once (an eigendecomposition of
-dGamma(O), a full expm of K).  It also keeps the oracle helpers only the
+dGamma(O), a full expm of K).  It also keeps the per-sector conjugation
+defect that the stacked one replaced: one dense block and one Taylor run
+per sector, memoised by charge.  It also keeps the oracle helpers only the
 tests call: the number operator, the pair amplitudes of the fixed-point
 equation (taken with ``expm_multiply``) and the exact depletion law.  It
 has no ``test_`` prefix, so pytest imports it but collects nothing from it.
@@ -19,7 +21,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from bose_genfun.fockoracle import FockSpace, _strides
+from bose_genfun.fockoracle import FockSpace, _expm, _sectors, _strides
 
 
 def op_annihilate(space: FockSpace, mode: int) -> sp.csr_matrix:
@@ -92,6 +94,50 @@ def _expm_pair_by_sector(x: sp.spmatrix, charge) -> tuple[sp.csr_matrix, sp.csr_
         return sp.csr_matrix((vals, (rows, cols)), shape=x.shape)
 
     return assemble(1.0), assemble(-1.0)
+
+
+def sector_block(space: FockSpace, images: list, src: np.ndarray, dst: np.ndarray):
+    """The dense block <dst|X|src> of X, given X's images of src.
+
+    Raises ArithmeticError if X sends a state of src outside dst.
+    """
+    row_of = np.full(space.dim, -1)
+    row_of[dst] = np.arange(len(dst))
+    block = np.zeros((len(dst), len(src)), np.result_type(float, *(v for _, v in images)))
+    for d, val in images:
+        live = np.flatnonzero(val)
+        if np.any(row_of[d[live]] < 0):
+            raise ArithmeticError("operator couples two conserved-charge sectors")
+        block[row_of[d[live]], live] += val[live]
+    return block
+
+
+def conjugation_defect_by_sector(space: FockSpace, charge: np.ndarray, shift, x_images,
+                                 l_images, r_images, keep: np.ndarray) -> float:
+    """Spectral norm of (e^X L e^{-X} - R)[:, keep], sector by sector.
+
+    Same arguments as ``fockoracle._conjugation_defect``; e^{+-X} are taken
+    once per sector, in one Taylor run on the identity, and memoised.
+    """
+    sectors, exps = _sectors(charge), {}
+
+    def e_pm(c):
+        if c not in exps:
+            idx = sectors[c]
+            x = sector_block(space, x_images(idx), idx, idx)
+            exps[c] = _expm(np.stack([x, -x]),
+                            np.broadcast_to(np.eye(len(x)), (2,) + x.shape))
+        return exps[c]
+
+    worst = 0.0
+    for c, src in sectors.items():
+        t = tuple(np.add(c, shift).tolist())
+        if t in sectors and keep[src].any():  # else no kept state, or L, R empty src
+            dst = sectors[t]
+            lhs = e_pm(t)[0] @ sector_block(space, l_images(src), src, dst) @ e_pm(c)[1]
+            defect = (lhs - sector_block(space, r_images(src), src, dst))[:, keep[src]]
+            worst = max(worst, float(np.linalg.norm(defect, 2)))
+    return worst
 
 
 def number_operator(space: FockSpace) -> sp.csr_matrix:

@@ -13,14 +13,17 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from bose_genfun import fockoracle
 from bose_genfun.fockoracle import (
     DIM_CAP,
-    _block,
+    _conjugation_defect,
     _dgamma,
     _expm,
+    _expm_stack,
     _k,
     _ladder,
     _sectors,
+    _stack,
     bch_check,
     bogoliubov_action_defect,
     build_space,
@@ -32,6 +35,7 @@ from fock_reference import (
     bch_check_dense,
     bogoliubov_action_defect_dense,
     build_bogoliubov_generator,
+    conjugation_defect_by_sector,
     depletion_distribution,
     number_operator,
     op_annihilate,
@@ -151,8 +155,9 @@ def test_mgf_oracle_non_diagonal_two_pairs():
 @settings(max_examples=12, deadline=None)
 @given(data=st.data(), pairs=st.sampled_from([1, 2]))
 def test_sector_blocks_equal_sparse_builders(data, pairs):
-    # the blocks read off the occupation table are the sparse builders'
-    # entries, bit for bit, and nothing of either lies outside the sectors
+    # the padded blocks read off the occupation table are the sparse
+    # builders' entries, bit for bit, and nothing of either lies outside the
+    # sectors or in the padding
     space = build_space(pairs, data.draw(st.integers(2, 9) if pairs == 1
                                          else st.integers(2, 4)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -166,15 +171,18 @@ def test_sector_blocks_equal_sparse_builders(data, pairs):
              second_quantized(space, o)),
             (occ[:, 0::2] - occ[:, 1::2], lambda idx: _k(space, nu, idx),
              build_bogoliubov_generator(space, nu))):
+        sectors = list(_sectors(charge).values())
+        blocks = _stack(space, images(np.concatenate(sectors)), sectors, sectors)
         full = np.zeros((space.dim, space.dim), dtype=complex)
-        for idx in _sectors(charge).values():
-            full[np.ix_(idx, idx)] = _block(space, images(idx), idx, idx)
+        for idx, block in zip(sectors, blocks):
+            full[np.ix_(idx, idx)] = block[:idx.size, :idx.size]
+            assert not block[idx.size:].any() and not block[:, idx.size:].any()
         assert np.array_equal(full, ref.toarray())
     every = np.arange(space.dim)
     for m in range(space.modes):
         for step, ref in ((-1, op_annihilate(space, m)), (1, op_create(space, m))):
-            got = _block(space, [_ladder(space, [(m, step)], every)], every, every)
-            assert np.array_equal(got, ref.toarray())
+            got = _stack(space, [_ladder(space, [(m, step)], every)], [every], [every])
+            assert np.array_equal(got[0], ref.toarray())
 
 
 def test_mgf_oracle_degenerate_inputs():
@@ -266,18 +274,20 @@ def test_sector_blocked_diagnostics_match_dense(data, pairs):
 def test_sector_blocking_is_checked():
     space = build_space(1, 6)
     total = space.occupations.sum(axis=1)
+    sectors = list(_sectors(total).values())
     # K changes the total number by two: it couples number sectors
-    for idx in _sectors(total).values():
+    for idx in sectors:
         with pytest.raises(ArithmeticError, match="couples"):
-            _block(space, _k(space, [-0.2], idx), idx, idx)
+            _stack(space, _k(space, [-0.2], idx), [idx], [idx])
     with pytest.raises(ArithmeticError, match="couples"):
         _expm_pair_by_sector(build_bogoliubov_generator(space, [-0.2]), total)
     # dGamma(O) conserves it: the blocks reproduce the full exponential
     o = np.array([[0.1, 0.2j], [-0.2j, -0.3]])
     dg = second_quantized(space, o)
     want = scipy.linalg.expm(dg.toarray())
-    for idx in _sectors(total).values():
-        block = _block(space, _dgamma(space, o, idx), idx, idx)
+    blocks = _stack(space, _dgamma(space, o, np.concatenate(sectors)), sectors, sectors)
+    for idx, block in zip(sectors, blocks):
+        block = block[:idx.size, :idx.size]
         got = _expm(block, np.eye(idx.size))
         assert np.max(np.abs(got - want[np.ix_(idx, idx)])) < 1e-13
         assert np.max(np.abs(_expm(-block, got) - np.eye(idx.size))) < 1e-13
@@ -301,3 +311,106 @@ def test_depletion_distribution_geometric_law():
     lam = 0.3
     mgf_law = float(probs2 @ np.exp(lam * vals2))
     assert mgf_law == pytest.approx(one_pair_mgf_closed(nu, lam) ** 2, rel=1e-10)
+
+
+def test_stacked_defect_checks_the_sector_structure():
+    # the batched path reads K's images on number sectors: K moves the total
+    # number by two, so the stack of X blocks must refuse it
+    space = build_space(1, 6)
+    total = space.occupations.sum(axis=1)
+
+    def create(src):
+        return [_ladder(space, [(0, 1)], src)]
+
+    with pytest.raises(ArithmeticError, match="couples"):
+        _conjugation_defect(space, total, 1, lambda src: _k(space, [-0.2], src),
+                            create, create, total <= space.n_max - 2)
+
+
+def test_stacked_exponential_matches_scipy():
+    # widths 1-20 padded to 20, 1-norms 0-20, Hermitian and anti-Hermitian
+    rng = np.random.default_rng(5)
+    widths = np.concatenate([[1, 1, 20, 20], rng.integers(1, 21, 28)])
+    norms = np.concatenate([[0.0, 20.0, 0.0, 20.0], rng.uniform(0.0, 20.0, 28)])
+    stack = np.zeros((widths.size, 20, 20), dtype=complex)
+    for i, (w, norm) in enumerate(zip(widths, norms)):
+        h = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+        h = h + h.conj().T if i % 2 else h - h.conj().T
+        stack[i, :w, :w] = h * norm / np.abs(h).sum(axis=0).max()
+    assert np.abs(stack).sum(axis=-2).max() == pytest.approx(20.0)
+    e_plus, e_minus = _expm_stack(stack), _expm_stack(-stack)
+    for i, w in enumerate(widths):
+        want = scipy.linalg.expm(stack[i, :w, :w])
+        # Hermitian blocks reach e^20: hold those relative to their size
+        assert np.max(np.abs(e_plus[i, :w, :w] - want)) <= 1e-13 * max(1.0, np.abs(want).max())
+        # zero padding is exact: e^{diag(A, 0)} = diag(e^A, I)
+        assert np.array_equal(e_plus[i, w:, w:], np.eye(20 - w))
+        assert not e_plus[i, :w, w:].any() and not e_plus[i, w:, :w].any()
+        if i % 2 == 0:  # unitary: e^A e^-A = I to rounding
+            assert np.max(np.abs(e_plus[i] @ e_minus[i] - np.eye(20))) < 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), pairs=st.sampled_from([1, 2]))
+def test_stacked_defects_match_per_sector_reference(data, pairs):
+    space = build_space(pairs, data.draw(st.integers(2, 20) if pairs == 1
+                                         else st.integers(2, 4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal((space.modes,) * 2) + 1j * rng.standard_normal((space.modes,) * 2)
+    h = 0.5 * (h + h.conj().T)
+    h *= 0.25 / np.linalg.norm(h, 2)
+    nu = data.draw(st.lists(st.floats(-0.3, 0.0), min_size=pairs, max_size=pairs))
+    occ_cap = data.draw(st.integers(0, space.modes * space.n_max))
+
+    def both(check, *args):
+        got = check(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fockoracle, "_conjugation_defect", conjugation_defect_by_sector)
+            return got, check(*args)
+
+    for mode in range(space.modes):
+        for got, ref in (both(bch_check, space, h, mode),
+                         both(bogoliubov_action_defect, space, nu, mode, occ_cap)):
+            assert abs(got - ref) <= 1e-11 + 1e-10 * ref
+
+
+@pytest.mark.parametrize("n_max", [20, 30])
+def test_defect_checks_run_one_taylor_per_width_group(n_max, monkeypatch):
+    # a deterministic guard instead of a timing: the stacked checks run at
+    # most one Taylor loop per padded width (powers of two up to the widest
+    # block), however many sectors there are
+    space = build_space(1, n_max)
+    groups = math.ceil(math.log2(n_max + 1)) + 1
+    runs = {"stack": 0, "apply": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            runs[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(fockoracle, "_expm_stack", counted("stack", _expm_stack))
+    monkeypatch.setattr(fockoracle, "_expm_apply", counted("apply", fockoracle._expm_apply))
+    h = np.array([[0.1, 0.2j], [-0.2j, -0.15]])
+    for check, apply_runs in ((lambda: bch_check(space, h, 0), 1),  # e^O's column
+                              (lambda: bogoliubov_action_defect(space, [-0.03], 0), 0)):
+        runs.update(stack=0, apply=0)
+        assert check() < 1e-8
+        assert 0 < runs["stack"] <= groups < n_max // 2
+        assert runs["apply"] == apply_runs
+
+
+def test_defect_checks_fail_loudly():
+    space = build_space(1, 6)
+    with pytest.raises(ValueError, match="no basis state is kept"):
+        bogoliubov_action_defect(space, [-0.2], 0, max_total_occ=-1)
+    bad = np.array([[np.nan, 0.0], [0.0, 0.1]])
+    with pytest.raises(ValueError, match="o_small must be finite"):
+        bch_check(space, bad, 0)
+    with pytest.raises(ValueError, match="o_small must be finite"):
+        mgf_oracle(space, [-0.2], bad, 0.1)
+    for nu in ([math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="nu_by_pair must hold one finite nu"):
+            bogoliubov_action_defect(space, nu, 0)
+        with pytest.raises(ValueError, match="nu_by_pair must hold one finite nu"):
+            mgf_oracle(space, nu, np.eye(2), 0.1)

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bose_genfun import tails
 from bose_genfun.genfun import cumulants, log_mgf_closed
-from bose_genfun.lattice import lattice_from_vectors
+from bose_genfun.lattice import build_lattice, lattice_from_vectors
 from bose_genfun.spectrum import (
+    build_kernel,
     depletion_mean,
     log_mgf_derivatives,
 )
@@ -95,6 +97,27 @@ def test_engine_derivatives_and_chernoff_slope(nu_a, nu_b, u, j):
     b = chernoff_bound(k, n, mu)
     assert 0.0 < b.lambda_star < k.lambda0
     assert abs(log_mgf_derivatives(k, b.lambda_star, 1)[1] - n) <= 1e-10 * n
+
+
+@pytest.mark.parametrize("kernel", ["two-pair", "cube-6"])
+def test_newton_stops_at_the_root(kernel, monkeypatch):
+    # once |Lambda' - n| is down to a few ulps of n Newton returns: no two
+    # consecutive engine calls both sit at that rounding floor
+    k = two_pair_kernel() if kernel == "two-pair" else build_kernel(build_lattice(6), 0.5)
+    mu, sigma = depletion_mean(k), math.sqrt(variance(k))
+    for j in (0.5, 1.0, 2.0, 3.0, 10.0):
+        n, gaps = mu + j * sigma, []
+
+        def engine(k, lam, order):
+            out = log_mgf_derivatives(k, lam, order)
+            gaps.append(abs(out[1] - n) <= 4 * 2.0**-52 * n)
+            return out
+
+        monkeypatch.setattr(tails, "log_mgf_derivatives", engine)
+        b = chernoff_bound(k, n, mu)
+        assert b.engine_calls == len(gaps)
+        assert not any(x and y for x, y in zip(gaps, gaps[1:])), gaps
+        assert abs(log_mgf_derivatives(k, b.lambda_star, 1)[1] - n) <= 1e-10 * n
 
 
 def test_chernoff_unreachable_threshold_raises():
