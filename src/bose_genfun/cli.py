@@ -22,9 +22,8 @@ import numpy as np
 
 from . import __version__
 from . import tails as tailsmod
-from .genfun import (QuadratureSpec, QuadratureStats, cumulants,
-                     fourth_central_printed_combination, log_mgf_closed,
-                     log_mgf_grid)
+from .genfun import (QuadratureStats, cumulants, fourth_central_printed_combination,
+                     log_mgf_closed, log_mgf_grid)
 from .lattice import build_lattice, lattice_from_vectors
 from .observable import (NotContracting, log_mgf_det, observable_from_csv,
                          observable_mean, observable_random, solve_F)
@@ -61,7 +60,7 @@ class RunConfig:
     lambda_min: float
     lambda_max: float
     lambda_count: int
-    quadrature: QuadratureSpec
+    quad_tol: float
     observable: dict
     oracle: dict | None
     output_format: str
@@ -158,12 +157,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("lambda_grid needs 1 <= count <= 100000 and max >= min")
 
     q = _section(raw, "quadrature", {})
-    quad = QuadratureSpec(tol=_float(q.get("tol", 1e-10), "quadrature.tol"),
-                          max_panels=_int(q.get("max_panels", 200),
-                                          "quadrature.max_panels"))
-    if not quad.tol > 0.0 or quad.max_panels < 1:
-        raise ConfigError(f"quadrature needs tol > 0 and max_panels >= 1 (got "
-                          f"tol={quad.tol!r}, max_panels={quad.max_panels})")
+    quad_tol = _float(q.get("tol", 1e-10), "quadrature.tol")
+    if set(q) - {"tol"} or not quad_tol > 0.0:
+        raise ConfigError(f"quadrature takes one positive 'tol' (got {q!r})")
 
     obs = _section(raw, "observable", {"kind": "none"})
     if obs.get("kind") not in ("none", "identity", "csv", "random"):
@@ -207,7 +203,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         seed = args.seed
     return RunConfig(potential=potential, convention=convention, cutoff_m=cutoff_m,
                      lambda_min=lmin, lambda_max=lmax, lambda_count=count,
-                     quadrature=quad, observable=obs, oracle=oracle,
+                     quad_tol=quad_tol, observable=obs, oracle=oracle,
                      output_format=fmt, output_path=out_path, n_list=n_list,
                      seed=seed, sha256=sha)
 
@@ -311,7 +307,7 @@ def _scalar_grid(cfg: RunConfig, k: SpectrumKernel,
     and the meta lines quad_evals and quad_abserr_max of its quadrature."""
     lams = _lambda_grid(cfg, k.lambda0, warnings)
     stats = QuadratureStats()
-    quad = log_mgf_grid(k, lams, cfg.quadrature, stats)
+    quad = log_mgf_grid(k, lams, cfg.quad_tol, stats)
     rows = [(float(lam), float(qv), log_mgf_closed(k, float(lam)))
             for lam, qv in zip(lams, quad)]
     return rows, {"quad_evals": stats.evals,

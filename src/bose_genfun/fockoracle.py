@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DIM_CAP = 20_000
+_TAYLOR_CAP = 178  # the first k at which 1/k! is 0.0 in float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,47 +139,50 @@ def _sectors(charge: np.ndarray) -> dict:
             for i, k in enumerate(keys.tolist())}
 
 
-def _expm_apply(apply, x: np.ndarray, norm: float) -> np.ndarray:
-    """e^A x for the A with action `apply` and norm at most `norm`.
+def _taylor(start: np.ndarray, step) -> np.ndarray:
+    """e^{A/s} start, summing t_k = step(t_{k-1}, k, out) = (A/s) t_{k-1} / k until
+    a term moves no entry.  With ||A/s||_1 <= 1 a finite t_k is below 1/k! of the
+    start, 0 from _TAYLOR_CAP on: a sum still moving there raises ArithmeticError."""
+    total, term = start.copy(), start.copy()
+    new, tmp = np.empty_like(total), np.empty_like(total)  # C order, as .view needs
+    for k in range(1, _TAYLOR_CAP + 1):
+        term, tmp = step(term, k, tmp), term
+        np.add(total, term, out=new)
+        if not (new.view(np.float64) != total.view(np.float64)).any():
+            return total
+        total, new = new, total
+    raise ArithmeticError("the Taylor sum of a matrix exponential overflowed")
 
-    Scaled Taylor series (Al-Mohy & Higham 2011): s = ceil(norm) steps of
-    e^{A/s}, each summing terms until a term no longer changes the sum.
-    """
+
+def _expm_apply(apply, x: np.ndarray, norm: float) -> np.ndarray:
+    """e^A x for the A with action apply(x, out) and 1-norm at most `norm`:
+    s = ceil(norm) scaled Taylor steps e^{A/s} (Al-Mohy & Higham 2011)."""
     steps = max(1, math.ceil(norm))
-    for _ in range(steps):
-        if not np.isfinite(x).all():
-            break  # overflowed: a nan term would never settle
-        term, k = x, 0
-        while True:
-            k += 1
-            term = apply(term) / (k * steps)
-            total = x + term
-            if not (total != x).any():
-                break
-            x = total
+    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse a non-finite e^A x
+        for _ in range(steps):
+            x = _taylor(x, lambda t, k, out: np.divide(apply(t, out), k * steps, out=out))
     return x
 
 
 def _expm(block: np.ndarray, x: np.ndarray) -> np.ndarray:
     """e^B x for a dense block B (or a stack of them), bounded by its 1-norm."""
-    return _expm_apply(block.__matmul__, x, np.abs(block).sum(axis=-2).max(initial=0.0))
+    return _expm_apply(lambda t, out: np.matmul(block, t, out=out),
+                       x.astype(np.result_type(block, x)),
+                       np.abs(block).sum(axis=-2).max(initial=0.0))
 
 
 def _expm_stack(a: np.ndarray) -> np.ndarray:
     """e^{A_i} for each block of a stack: one Taylor run sums every e^{A_i/s_i},
     s_i = ceil(||A_i||_1), until no entry moves; then T_i^{s_i} by products."""
     s = np.maximum(1.0, np.ceil(np.abs(a).sum(axis=-2).max(axis=-1)))[:, None, None]
-    total = np.tile(np.eye(a.shape[-1], dtype=a.dtype), (len(a), 1, 1))
-    term, tmp, new, k = total.copy(), np.empty_like(total), np.empty_like(total), 0
-    while True:
-        k += 1
-        parts = np.matmul(a, term, out=tmp).view(np.float64)  # complex / real is slow
+
+    def step(t, k, out):
+        parts = np.matmul(a, t, out=out).view(np.float64)  # complex / real is slow
         np.divide(parts, k * s, out=parts)
-        np.add(total, tmp, out=new)
-        if not (new.view(np.float64) != total.view(np.float64)).any():
-            break
-        total, new, term, tmp = new, total, tmp, term
-    term[...] = total  # becomes T_i^{s_i}
+        return out
+
+    total = _taylor(np.tile(np.eye(a.shape[-1], dtype=a.dtype), (len(a), 1, 1)), step)
+    term, tmp = total.copy(), np.empty_like(total)  # term becomes T_i^{s_i}
     for r in range(2, int(s.max()) + 1):
         np.copyto(term, np.matmul(term, total, out=tmp), where=s >= r)
     return term
@@ -208,9 +212,11 @@ def mgf_oracle(space: FockSpace, nu_by_pair, o_small, lam: float,
     O must be Hermitian; the expectation is evaluated as the squared norm
     of e^{(lam/2) dGamma(O)} v, which is exact for self-adjoint dGamma(O).
     A diagonal O acts state by state; otherwise dGamma(O) is applied word
-    by word to the whole space.  Raises if the truncation estimate exceeds
-    required_accuracy.
+    by word to the whole space.  Raises ValueError on a non-finite lam or a
+    truncation estimate above required_accuracy, ArithmeticError on overflow.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite (got {lam!r})")
     o_small = np.asarray(o_small, dtype=complex)
     if o_small.shape != (space.modes, space.modes) or not np.isfinite(o_small).all():
         raise ValueError("one-body matrix o_small must be finite and modes x modes")
@@ -219,14 +225,15 @@ def mgf_oracle(space: FockSpace, nu_by_pair, o_small, lam: float,
     v, est = squeezed_vacuum(space, nu_by_pair)
     diag = o_small.diagonal().real
     if np.count_nonzero(o_small - np.diag(diag)) == 0:
-        w = np.exp(0.5 * lam * (space.occupations @ diag)) * v
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            w = np.exp(0.5 * lam * (space.occupations @ diag)) * v
     else:
         words = [(d[live], val[live], live) for d, val in
                  _dgamma(space, 0.5 * lam * o_small, np.arange(space.dim))
                  for live in [np.flatnonzero(val)]]
 
-        def apply(x):
-            out = np.zeros_like(x)
+        def apply(x, out):
+            out.fill(0.0)
             for d, val, live in words:
                 out[d] += val * x[live]
             return out
@@ -234,12 +241,15 @@ def mgf_oracle(space: FockSpace, nu_by_pair, o_small, lam: float,
         # each word's largest value, summed, bounds the 1-norm
         w = _expm_apply(apply, v, sum(np.abs(val).max(initial=0.0)
                                       for _, val, _ in words))
+    value = float(np.vdot(w, w).real)
+    if not math.isfinite(value):
+        raise ArithmeticError(f"oracle value overflowed at lam={lam:.6g}")
     est = est + _top_shell_mass(space, w / max(np.linalg.norm(w), 1e-300))
     if est > required_accuracy:
         raise ValueError(
             f"oracle truncation estimate {est:.3e} exceeds {required_accuracy:.3e}; "
             "increase n_max")
-    return OracleValue(value=float(np.vdot(w, w).real), truncation_estimate=est)
+    return OracleValue(value=value, truncation_estimate=est)
 
 
 def _conjugation_defect(space: FockSpace, charge: np.ndarray, shift, x_images,
@@ -264,14 +274,17 @@ def _conjugation_defect(space: FockSpace, charge: np.ndarray, shift, x_images,
     l, r = (_stack(space, op(np.concatenate(src)), src, dst) for op in (l_images, r_images))
     exps, want = {}, [(1, t) for _, t in pairs] + [(-1, c) for c, _ in pairs]
     pad = {key: min(1 << (len(sectors[key]) - 1).bit_length(), x.shape[-1]) for key in used}
-    for p in sorted(set(pad.values())):
-        group = [(sign, key) for sign, key in want if pad[key] == p]
-        a = np.stack([sign * x[used.index(key), :p, :p] for sign, key in group])
-        exps.update(zip(group, _expm_stack(a)))
-    for i, (c, t) in enumerate(pairs):  # r becomes the defect, in place
-        m, n = len(dst[i]), len(src[i])
-        r[i, :m, :n] -= exps[1, t][:m, :m] @ l[i, :m, :n] @ exps[-1, c][:n, :n]
-        r[i, :, :n][:, ~keep[src[i]]] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        for p in sorted(set(pad.values())):
+            group = [(sign, key) for sign, key in want if pad[key] == p]
+            a = np.stack([sign * x[used.index(key), :p, :p] for sign, key in group])
+            exps.update(zip(group, _expm_stack(a)))
+        for i, (c, t) in enumerate(pairs):  # r becomes the defect, in place
+            m, n = len(dst[i]), len(src[i])
+            r[i, :m, :n] -= exps[1, t][:m, :m] @ l[i, :m, :n] @ exps[-1, c][:n, :n]
+            r[i, :, :n][:, ~keep[src[i]]] = 0.0
+    if not np.isfinite(r).all():
+        raise ArithmeticError("the conjugation defect overflowed")
     return float(np.linalg.svd(r, compute_uv=False)[:, 0].max())
 
 

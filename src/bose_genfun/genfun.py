@@ -19,12 +19,11 @@ closed-form engine spectrum.log_mgf_derivatives: per mode,
 g(lambda) = e^{2l} s^2 / (c^2 - e^{2l} s^2) satisfies g' = 2g + 2g^2, so
 every derivative of Lambda is an exact integer polynomial in g.
 
-The quadrature is QUADPACK's 21-point Gauss-Kronrod rule and error
-estimate (qk21) with qag's worst-panel bisection and no extrapolation,
-written in numpy: log_mgf_grid integrates every gap of a grid in
-lock-step, one integrand call per refinement round, raises ArithmeticError
-when a gap runs out of panels, and tallies node evaluations and error
-estimates in a QuadratureStats.
+The quadrature is QUADPACK's 21-point Gauss-Kronrod rule and error estimate
+(qk21), summed as weight-vector products, with qag's worst-panel bisection and
+no extrapolation: log_mgf_grid refines every gap of a grid in lock-step to tol
+and tallies evaluations and error estimates in a QuadratureStats.  A gap above
+tol at _MAX_PANELS panels sits on a rounding floor: ArithmeticError; loosen tol.
 """
 
 from __future__ import annotations
@@ -36,12 +35,6 @@ import numpy as np
 
 from .spectrum import (SpectrumKernel, _check_domain, depletion_mean,
                        log_mgf_derivatives)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    tol: float = 1e-10
-    max_panels: int = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,39 +80,27 @@ _WG = np.array([
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
-_EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
+# the 21 nodes on [-1, 1] (left, then right and centre) and their weights
+_X21 = np.concatenate((-_XGK[:10], _XGK))
+_WK21 = np.concatenate((_WGK[:10], _WGK))
+_WG21 = np.zeros(21)
+_WG21[1:20:2] = np.tile(_WG, 2)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _NODE_BLOCK = 1 << 15  # nodes x shells entries in one block of integrand_diagonal
+_MAX_PANELS = 200  # panels a gap may use before it is declared not converging
 
 
 def _qk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QUADPACK's qk21 on every panel [a_i, b_i] at once: the 21-point
-    Kronrod value and its error estimate resasc min(1, (200 |K - G| /
-    resasc)^1.5), floored at 50 eps resabs.  f maps an array of nodes to
-    integrand values of the same shape and is called once; the sums run in
-    QUADPACK's order."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    absc = hlgth[:, None] * _XGK[:10]
-    fv = f(np.concatenate((centr[:, None], centr[:, None] - absc,
-                           centr[:, None] + absc), axis=1))
-    fc, fv1, fv2 = fv[:, 0], fv[:, 1:11], fv[:, 11:]
-    resg = np.zeros(a.size)
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss nodes first
-        fsum = fv1[:, j] + fv2[:, j]
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh)
-                                     + np.abs(fv2[:, j] - reskh))
-    dhlgth = np.abs(hlgth)
-    resabs, resasc = resabs * dhlgth, resasc * dhlgth
+    """QUADPACK's qk21 on every panel [a_i, b_i] at once: the Kronrod value and
+    its error estimate resasc min(1, (200 |K - G| / resasc)^1.5), floored at 50
+    eps resabs; f maps nodes to values and is called once.  K, G, resabs and
+    resasc are weighted row sums, which unlike BLAS gemv give a panel the same
+    bits whatever other panels share the call."""
+    centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+    fv = f(centr[:, None] + hlgth[:, None] * _X21)
+    resk, resg = (fv * _WK21).sum(axis=1), (fv * _WG21).sum(axis=1)
+    resabs = (np.abs(fv) * _WK21).sum(axis=1) * np.abs(hlgth)
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) * _WK21).sum(axis=1) * np.abs(hlgth)
     abserr = np.abs((resk - resg) * hlgth)
     scale = (resasc != 0.0) & (abserr != 0.0)
     ratio = 200.0 * abserr[scale] / resasc[scale]
@@ -164,18 +145,15 @@ def log_mgf_closed(k: SpectrumKernel, lam: float) -> float:
     return log_mgf_derivatives(k, lam, 0)[0]
 
 
-def _integrate_gaps(f, lo: np.ndarray, hi: np.ndarray, quad: QuadratureSpec,
+def _integrate_gaps(f, lo: np.ndarray, hi: np.ndarray, tol: float,
                     stats: QuadratureStats | None) -> np.ndarray:
     """int_lo^hi f for every gap, adaptively and in lock-step; f maps an
-    array of nodes to integrand values.
-
-    QUADPACK's qag rule without qags' extrapolation: each round, every gap
-    whose summed error exceeds max(tol, tol |I_gap|) bisects its worst
-    panel, and the halves of all those panels share one integrand call.
-    A gap's area and error are updated as QUADPACK updates them.  A
-    zero-length gap costs nothing; a gap that would need more than
-    quad.max_panels panels raises ArithmeticError.
-    """
+    array of nodes to integrand values.  QUADPACK's qag rule without qags'
+    extrapolation: each round, every gap whose summed error exceeds
+    max(tol, tol |I_gap|) bisects its worst panel, and the halves of all
+    those panels share one integrand call; a gap's area and error update as
+    in QUADPACK.  A zero-length gap costs nothing; a gap that would need
+    more than _MAX_PANELS panels raises ArithmeticError."""
     gaps = np.flatnonzero(lo != hi)  # the gap of each panel
     pa, pb = lo[gaps], hi[gaps]
     pres, perr = _qk21(f, pa, pb)
@@ -184,16 +162,16 @@ def _integrate_gaps(f, lo: np.ndarray, hi: np.ndarray, quad: QuadratureSpec,
     evals = 21 * gaps.size
     active = gaps
     while True:
-        active = active[errsum[active] > np.maximum(quad.tol,
-                                                    quad.tol * np.abs(area[active]))]
+        active = active[errsum[active] > np.maximum(tol, tol * np.abs(area[active]))]
         if not active.size:
             break
-        full = active[np.bincount(gaps, minlength=lo.size)[active] >= quad.max_panels]
+        full = active[np.bincount(gaps, minlength=lo.size)[active] >= _MAX_PANELS]
         if full.size:
             g = full[0]
             raise ArithmeticError(
                 f"quadrature on [{lo[g]:.9g}, {hi[g]:.9g}] did not converge: "
-                f"{quad.max_panels} panels leave an error estimate of {errsum[g]:.3g}")
+                f"{_MAX_PANELS} panels leave an error estimate of {errsum[g]:.3g} "
+                f"above tol={tol:.3g}; loosen the tolerance (quadrature.tol)")
         # the worst panel of every gap, in gap order like active
         order = np.lexsort((-perr, gaps))
         first = order[np.r_[True, gaps[order][1:] != gaps[order][:-1]]]
@@ -217,8 +195,7 @@ def _integrate_gaps(f, lo: np.ndarray, hi: np.ndarray, quad: QuadratureSpec,
     return np.bincount(gaps, weights=pres, minlength=lo.size)
 
 
-def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
-                 quad: QuadratureSpec | None = None,
+def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray, tol: float = 1e-10,
                  stats: QuadratureStats | None = None) -> np.ndarray:
     """Quadrature Lambda on a grid in any order, integrating each gap only
     once; the evaluation count and the largest per-gap error estimate go to
@@ -236,8 +213,7 @@ def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray,
     lo = np.empty(pts.size)
     lo[pos] = np.concatenate(([0.0], pts[pos][:-1]))
     lo[~pos] = np.concatenate((pts[~pos][1:], [0.0]))
-    gap = _integrate_gaps(lambda x: integrand_diagonal(k, x), lo, pts,
-                          quad or QuadratureSpec(), stats)
+    gap = _integrate_gaps(lambda x: integrand_diagonal(k, x), lo, pts, tol, stats)
     vals = np.empty(pts.size)
     vals[pos] = np.cumsum(gap[pos])
     vals[~pos] = np.cumsum(gap[~pos][::-1])[::-1]

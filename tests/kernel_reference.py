@@ -46,7 +46,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from bose_genfun.genfun import (QuadratureSpec, QuadratureStats,
+from bose_genfun.genfun import (_MAX_PANELS, QuadratureStats,
                                 integrand_diagonal, log_mgf_grid)
 from bose_genfun.observable import (
     _apply,
@@ -64,14 +64,13 @@ from bose_genfun.spectrum import (SpectrumKernel, _lambda0_from_tanh,
 _BISECTION_STEPS = 80
 
 
-def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None,
+def _quad(f, lo: float, hi: float, tol: float = 1e-10, limit: int = _MAX_PANELS,
           stats: QuadratureStats | None = None) -> float:
-    """int_lo^hi f by QUADPACK; ArithmeticError if it reports non-convergence.
-    Its evaluation count and error estimate are added to stats, if given."""
-    quad = quad or QuadratureSpec()
+    """int_lo^hi f by QUADPACK to tol in at most limit panels; ArithmeticError
+    if it reports non-convergence.  Its evaluation count and error estimate
+    are added to stats, if given."""
     val, abserr, info, *tail = scipy.integrate.quad(
-        f, lo, hi, epsabs=quad.tol, epsrel=quad.tol, limit=quad.max_panels,
-        full_output=1)
+        f, lo, hi, epsabs=tol, epsrel=tol, limit=limit, full_output=1)
     if tail:  # QUADPACK appended a warning; its first line names the cause
         raise ArithmeticError(f"quadrature on [{lo:.9g}, {hi:.9g}] did not "
                               f"converge: {tail[0].splitlines()[0]}")
@@ -81,8 +80,7 @@ def _quad(f, lo: float, hi: float, quad: QuadratureSpec | None,
     return float(val)
 
 
-def log_mgf_grid_quadpack(k: SpectrumKernel, lams,
-                          quad: QuadratureSpec | None = None,
+def log_mgf_grid_quadpack(k: SpectrumKernel, lams, tol: float = 1e-10,
                           stats: QuadratureStats | None = None) -> np.ndarray:
     """genfun.log_mgf_grid with one QUADPACK call per gap: the same walk
     outward from 0, so each gap is integrated once."""
@@ -95,7 +93,7 @@ def log_mgf_grid_quadpack(k: SpectrumKernel, lams,
         prev_x, prev_v = 0.0, 0.0
         for i in indices:
             prev_v += _quad(lambda x: float(integrand_diagonal(k, x)), prev_x,
-                            pts[i], quad, stats)
+                            pts[i], tol, stats=stats)
             prev_x = pts[i]
             vals[i] = prev_v
 
@@ -106,9 +104,9 @@ def log_mgf_grid_quadpack(k: SpectrumKernel, lams,
     return out
 
 
-def log_mgf(k: SpectrumKernel, lam: float, quad: QuadratureSpec | None = None) -> float:
+def log_mgf(k: SpectrumKernel, lam: float) -> float:
     """Lambda(lambda) at one point by the package's quadrature."""
-    return float(log_mgf_grid(k, np.array([lam]), quad)[0])
+    return float(log_mgf_grid(k, np.array([lam]))[0])
 
 
 def kernel_from_nu(lattice, nu) -> SpectrumKernel:
@@ -359,20 +357,14 @@ def certified_domain(k: SpectrumKernel, obs: ObservableKernel) -> float:
     return lo
 
 
-def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lams,
-                    quad: QuadratureSpec | None = None) -> np.ndarray:
+def log_mgf_general(k: SpectrumKernel, obs: ObservableKernel, lams) -> np.ndarray:
     """Lambda_O(lambda) = int_0^lambda Re sum s_p c_q O_pq Fhat_pq(kappa) dkappa
     + lambda mu_O on a lambda grid, solving the fixed point at each node.
 
     The certified domain is computed once for the grid; every lambda is
     integrated from 0 on its own, so a value does not depend on the grid.
     """
-    return _log_mgf_general_in(k, obs, lams, quad, certified_domain(k, obs))
-
-
-def _log_mgf_general_in(k: SpectrumKernel, obs: ObservableKernel, lams,
-                        quad: QuadratureSpec | None, dom: float) -> np.ndarray:
-    """log_mgf_general for a caller that already holds certified_domain(k, obs)."""
+    dom = certified_domain(k, obs)
     lams = [float(lam) for lam in np.atleast_1d(lams)]
     for lam in lams:
         if not abs(lam) < dom:
@@ -386,11 +378,11 @@ def _log_mgf_general_in(k: SpectrumKernel, obs: ObservableKernel, lams,
             return 0.0
         return float(np.sum(weight * solve_F(k, obs, kappa).F).real)
 
-    return np.array([_quad(integrand, 0.0, lam, quad) + lam * mu_o if lam != 0.0
+    return np.array([_quad(integrand, 0.0, lam) + lam * mu_o if lam != 0.0
                      else 0.0 for lam in lams])
 
 
-def log_mgf_dense(k, obs, lam, quad=None):
+def log_mgf_dense(k, obs, lam):
     """Lambda_O(lambda) by the same quadrature as log_mgf_general, with each
     fixed point taken from dense_solve instead of the Neumann series."""
     if lam == 0.0:
@@ -404,7 +396,7 @@ def log_mgf_dense(k, obs, lam, quad=None):
                         lambda X: apply_D(k, obs, kappa, X))
         return float(np.sum(weight * F).real)
 
-    return _quad(integrand, 0.0, lam, quad) + lam * observable_mean(k, obs)
+    return _quad(integrand, 0.0, lam) + lam * observable_mean(k, obs)
 
 
 def _access_adjoint(Y, left, right, mode, neg):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bose_genfun import cli, fockoracle, tails
+from bose_genfun import cli, fockoracle, genfun, tails
 from bose_genfun.cli import main
 from bose_genfun.fockoracle import mgf_oracle
 from bose_genfun.lattice import build_lattice, lattice_from_vectors
@@ -112,14 +112,15 @@ def test_support_radius_too_small_to_march_exits_3(tmp_path, capsys, command):
     assert err.startswith("domain error: support radius") and err.count("\n") == 1
 
 
-def test_genfun_quadrature_failure_exits_3(tmp_path, capsys):
+def test_genfun_quadrature_failure_exits_3(tmp_path, capsys, monkeypatch):
     body = {"potential": {"kind": "direct", "a": 0.01}, "cutoff_m": 10,
-            "lambda_grid": {"min": 5.0, "max": 5.0, "count": 1},
-            "quadrature": {"max_panels": 1}}
+            "lambda_grid": {"min": 5.0, "max": 5.0, "count": 1}}
+    monkeypatch.setattr(genfun, "_MAX_PANELS", 1)
     code, text = run(tmp_path, "genfun", body)
     assert code == 3 and text is None
     err = capsys.readouterr().err
     assert err.startswith("domain error: quadrature") and err.count("\n") == 1
+    assert "loosen the tolerance (quadrature.tol)" in err
 
 
 def test_observable_csv_bad_index_exits_3(tmp_path):
@@ -279,8 +280,8 @@ def test_observable_identity_check_is_relative_at_small_lambda(
     assert 0.0 < abs(float(rows[2]["log_mgf_o"])) < 1e-3
     real = cli.log_mgf_grid
 
-    def off(k, lams, quad, stats):
-        return real(k, lams, quad, stats) + np.where(lams == 0.1, 1e-9, 0.0)
+    def off(k, lams, tol, stats):
+        return real(k, lams, tol, stats) + np.where(lams == 0.1, 1e-9, 0.0)
 
     monkeypatch.setattr(cli, "log_mgf_grid", off)
     capsys.readouterr()
@@ -481,10 +482,12 @@ def test_config_error_paths(tmp_path):
     {"quadrature": {"tol": 0}},
     {"quadrature": {"tol": -1e-10}},
     {"quadrature": {"max_panels": 0}},
+    {"quadrature": {"max_panels": 200}},
 ], ids=["output-not-object", "quadrature-not-object", "seed-string",
         "pairs-string", "negative-a", "nan-a", "fractional-cutoff",
         "bool-cutoff", "nan-grid-min", "int-csv-path", "int-output-path",
-        "unknown-ensemble", "zero-tol", "negative-tol", "zero-panels"])
+        "unknown-ensemble", "zero-tol", "negative-tol", "zero-panels",
+        "max-panels-key"])
 def test_mistyped_config_exits_2(tmp_path, capsys, change):
     code, text = run(tmp_path, "genfun", dict(BASE, **change))
     assert code == 2 and text is None

@@ -6,6 +6,9 @@ textbook ladder-operator algebra and closed forms.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -414,3 +417,47 @@ def test_defect_checks_fail_loudly():
             bogoliubov_action_defect(space, nu, 0)
         with pytest.raises(ValueError, match="nu_by_pair must hold one finite nu"):
             mgf_oracle(space, nu, np.eye(2), 0.1)
+
+
+# Each overflow case runs in a fresh interpreter under a timeout, so a Taylor
+# run that never ends fails its test instead of stalling the suite.
+_OVERFLOW_PROBE = """
+import math, sys, warnings
+import numpy as np
+from bose_genfun.fockoracle import bch_check, build_space, mgf_oracle
+warnings.simplefilter("error")
+space, flip = build_space(1, 6), np.array([[0.0, 1.0], [1.0, 0.0]])
+diag = lambda lam: mgf_oracle(space, [-0.2], np.eye(2), lam)
+case = {"taylor": lambda: mgf_oracle(space, [-0.2], flip, 300.0,
+                                     required_accuracy=math.inf),
+        "power": lambda: bch_check(space, 100 * flip, 0),
+        "nan": lambda: diag(math.nan), "inf": lambda: diag(math.inf),
+        "value": lambda: diag(100.0)}[sys.argv[1]]
+try:
+    print("returned", case())
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("case, want", [
+    ("taylor", "ArithmeticError the Taylor sum of a matrix exponential overflowed"),
+    ("power", "ArithmeticError the conjugation defect overflowed"),
+    ("nan", "ValueError lam must be finite"),
+    ("inf", "ValueError lam must be finite"),
+    ("value", "ArithmeticError oracle value overflowed at lam=100"),
+], ids=["taylor", "power", "nan", "inf", "value"])
+def test_oracle_overflow_fails_loudly(case, want):
+    # the parent code never returned from "taylor", returned nan after LAPACK
+    # errors on stderr for "power", and nan or inf values for the others
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fockoracle.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _OVERFLOW_PROBE, case],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.startswith(want) and proc.stderr == ""
+
+
+def test_taylor_cap_is_where_the_factorial_underflows():
+    cap = fockoracle._TAYLOR_CAP
+    assert 1 / math.factorial(cap) == 0.0 < 1 / math.factorial(cap - 1)

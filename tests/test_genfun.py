@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from bose_genfun import genfun
 from bose_genfun.fockoracle import build_space, mgf_oracle
 from bose_genfun.genfun import (
-    QuadratureSpec,
     QuadratureStats,
     cumulants,
     fourth_central_printed_combination,
@@ -134,7 +133,7 @@ def test_closed_form_to_the_last_digit(cutoff_m):
 def test_grid_matches_pointwise_and_skips_nothing():
     k = build_kernel(build_lattice(1), A16PI)
     lams = np.array([0.7, -0.3, 0.0, 2.1, -1.4])  # deliberately unsorted
-    grid = log_mgf_grid(k, lams, QuadratureSpec())
+    grid = log_mgf_grid(k, lams, 1e-10)
     for x, got in zip(lams, grid):
         assert got == pytest.approx(log_mgf(k, float(x)), abs=1e-11)
     assert log_mgf_grid(k, np.array([])).size == 0
@@ -147,7 +146,7 @@ def test_grid_stats_count_every_integrand_call(monkeypatch):
     monkeypatch.setattr(genfun, "integrand_diagonal",
                         lambda k, x: nodes.append(np.size(x)) or real(k, x))
     stats = QuadratureStats()
-    log_mgf_grid(k, np.array([-0.4, 0.0, 0.3, 0.6]), QuadratureSpec(), stats)
+    log_mgf_grid(k, np.array([-0.4, 0.0, 0.3, 0.6]), 1e-10, stats)
     assert stats.evals == sum(nodes) > 0
     assert 0.0 < stats.abserr_max <= 1e-10
 
@@ -196,26 +195,48 @@ def test_grid_matches_quadpack(kernel, us, repeats):
 @pytest.mark.parametrize("below", [1e-3, 1e-6, 1e-8, 2e-9])
 def test_grid_matches_quadpack_next_to_lambda0(below):
     # the integrand's pole at lambda0 forces deep refinement; the default
-    # max_panels suffices, and worst-panel bisection makes QUADPACK's panels
+    # panel cap suffices, and worst-panel bisection makes QUADPACK's panels
     k = build_kernel(build_lattice(10), 16.0 * math.pi * 0.02)
     lam = np.array([k.lambda0 - below])
     ours, ref = QuadratureStats(), QuadratureStats()
-    got = log_mgf_grid(k, lam, None, ours)[0]
-    want = log_mgf_grid_quadpack(k, lam, None, ref)[0]
+    got = log_mgf_grid(k, lam, stats=ours)[0]
+    want = log_mgf_grid_quadpack(k, lam, stats=ref)[0]
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
     assert ours.evals == ref.evals > 21
 
 
-def test_quadrature_non_convergence_raises():
+def test_quadrature_non_convergence_raises(monkeypatch):
     # one QUADPACK panel cannot reach 1e-10 at 0.9 lambda0; every route must
     # say so rather than return the unconverged value
     k = build_kernel(build_lattice(10), A16PI)
     lam = 0.9 * k.lambda0
-    starved = QuadratureSpec(max_panels=1)
+    monkeypatch.setattr(genfun, "_MAX_PANELS", 1)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        log_mgf_grid(k, np.array([0.0, lam]), starved)
+        log_mgf_grid(k, np.array([0.0, lam]))
     with pytest.raises(ArithmeticError, match="did not converge"):
-        log_mgf(k, lam, starved)
+        log_mgf(k, lam)
+
+
+@pytest.mark.parametrize("a", [1e-4, 0.02, 0.3, 1.0])
+def test_panel_cap_never_decides_a_converging_gap(a):
+    # up to the CLI's clip margin (1 - 1e-9) lambda0 a gap converges in far
+    # fewer than _MAX_PANELS panels; on the negative side it takes one
+    k = build_kernel(build_lattice(10), 16.0 * math.pi * a)
+    for frac in (0.999, 1.0 - 1e-9, -(1.0 - 1e-9)):
+        stats = QuadratureStats()
+        log_mgf_grid(k, np.array([frac * k.lambda0]), stats=stats)
+        assert 0 < stats.evals <= 100 * 21
+        assert frac > 0.0 or stats.evals == 21
+
+
+@pytest.mark.parametrize("cap", [genfun._MAX_PANELS, 2000])
+def test_more_panels_do_not_rescue_a_rounding_floor(cap, monkeypatch):
+    # at a = 5 the error estimate next to lambda0 sits on a rounding floor
+    # that refinement raises: ten times the cap still fails, only slower
+    monkeypatch.setattr(genfun, "_MAX_PANELS", cap)
+    k = build_kernel(build_lattice(10), 16.0 * math.pi * 5.0)
+    with pytest.raises(ArithmeticError, match="loosen the tolerance"):
+        log_mgf_grid(k, np.array([(1.0 - 1e-9) * k.lambda0]))
 
 
 def test_arranged_value_log_three_halves():

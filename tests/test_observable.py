@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bose_genfun.fockoracle import build_space, mgf_oracle
-from bose_genfun.genfun import QuadratureSpec, log_mgf_closed
+from bose_genfun.genfun import log_mgf_closed
 from bose_genfun.lattice import build_lattice, lattice_from_vectors
 from bose_genfun.observable import (
     NotContracting,
