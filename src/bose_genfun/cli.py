@@ -2,9 +2,10 @@
 
 Outputs are deterministic given (config, seed): no timestamps, floats
 printed with 17 significant digits, files written atomically.  Exit codes:
-0 success, 2 config error, 3 domain error (lambda outside the admissible
-interval or a quadrature/domain failure), 4 oracle tolerance breach, 5 any
-other exception; each failure prints one stderr line, no traceback.
+0 success, 2 config error (also a negative seed, an unreadable CSV or an
+unwritable output), 3 domain error (lambda outside the admissible interval or
+a quadrature/domain failure), 4 oracle breach, 5 any other exception; each
+failure prints one stderr line, no traceback.
 """
 
 from __future__ import annotations
@@ -70,10 +71,12 @@ class RunConfig:
     sha256: str
 
 
-def _int(value, name: str) -> int:
-    """A config integer: a JSON integer, not a bool or a float."""
+def _int(value, name: str, least: int | None = None) -> int:
+    """A config integer: a JSON integer, not a bool or a float, >= least."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer (got {value!r})")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least} (got {value})")
     return value
 
 
@@ -171,8 +174,7 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     obs = dict(obs, pairs=_int(obs.get("pairs", 2), "observable.pairs"))
     if obs["kind"] == "random" and obs["pairs"] not in (1, 2):
         raise ConfigError("observable.random supports pairs in {1, 2}")
-    if "seed" in obs:
-        _int(obs["seed"], "observable.seed")
+    _int(obs.get("seed", 0), "observable.seed", 0)
 
     oracle = _section(raw, "oracle", None)
     if oracle is not None:
@@ -198,9 +200,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("n_list must be a list of numbers")
         n_list = [_float(x, "n_list entry") for x in n_list]
 
-    seed = _int(raw.get("seed", 0), "seed")
+    seed = _int(raw.get("seed", 0), "seed", 0)
     if args.seed is not None:
-        seed = args.seed
+        seed = _int(args.seed, "--seed", 0)
     return RunConfig(potential=potential, convention=convention, cutoff_m=cutoff_m,
                      lambda_min=lmin, lambda_max=lmax, lambda_count=count,
                      quad_tol=quad_tol, observable=obs, oracle=oracle,
@@ -278,7 +280,10 @@ def _write_atomic(path: str, text: str) -> None:
 def _emit(cfg, command, columns, rows, extra_meta, warnings) -> None:
     text = _render(cfg, command, columns, rows, extra_meta, warnings)
     if cfg.output_path:
-        _write_atomic(cfg.output_path, text)
+        try:
+            _write_atomic(cfg.output_path, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.output_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -409,7 +414,10 @@ def cmd_observable(cfg: RunConfig) -> int:
             raise ConfigError(f"csv observables need <= {_CSV_OBS_MODE_CAP} modes "
                               f"(cutoff_m={cfg.cutoff_m} gives {modes})")
         work_k = _cube_kernel(cfg)
-        obs = observable_from_csv(work_k.lattice, cfg.observable["path"])
+        try:
+            obs = observable_from_csv(work_k.lattice, cfg.observable["path"])
+        except OSError as exc:
+            raise ConfigError(f"cannot read {cfg.observable['path']}: {exc.strerror}") from exc
 
     # one fixed point per nonzero lambda gives the contraction bound q, the
     # residual columns and a Neumann slope that must match the Gaussian

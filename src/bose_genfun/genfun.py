@@ -7,7 +7,7 @@ Two equivalent evaluations of Lambda(lambda) are kept side by side:
   plus lambda * mu, by adaptive quadrature.  The expression depends on the
   mode only through nu, so integrand_diagonal evaluates it once per shell of
   SpectrumKernel.shells and weights it by the shell's mode count, for a
-  whole array of nodes in one product;
+  whole array of nodes in one pass;
 
 * the closed product form Lambda = -1/2 sum_p log(c_p^2 - e^{2 lambda} s_p^2),
   which follows per mode from the factorization
@@ -111,11 +111,11 @@ def _qk21(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrand_diagonal(k: SpectrumKernel, kappa):
-    """Sum over modes of the printed integrand at each kappa (any shape),
-    one term per shell: a (nodes x shells) @ mult product, taken in blocks
-    of nodes so the temporaries stay small.  cosh and expm1 come from math,
-    not numpy: for k < 0, c^2 (cosh 2k - 1) and e^{-2k} - 1 cancel, and
-    numpy's vectorised versions can differ from math's in the last bit."""
+    """Sum over modes of the printed integrand at each kappa (any shape), one
+    term per shell: mult-weighted row sums over blocks of (nodes x shells),
+    which unlike BLAS gemv give a node the same bits whatever nodes share its
+    call.  cosh and expm1 come from math: for k < 0, c^2 (cosh 2k - 1) and
+    e^{-2k} - 1 cancel, and numpy's can differ from math's in the last bit."""
     kappa = np.asarray(kappa, dtype=float)
     outside = ~(np.abs(kappa) < k.lambda0)
     if outside.any():
@@ -135,7 +135,8 @@ def integrand_diagonal(k: SpectrumKernel, kappa):
         den = np.multiply.outer(ch2, c2s2)
         np.subtract(1.0, den, out=den)
         num /= den
-        out[i:i + step] = num @ mult
+        num *= mult
+        out[i:i + step] = num.sum(axis=1)
     return out.reshape(kappa.shape)
 
 

@@ -483,16 +483,46 @@ def test_config_error_paths(tmp_path):
     {"quadrature": {"tol": -1e-10}},
     {"quadrature": {"max_panels": 0}},
     {"quadrature": {"max_panels": 200}},
+    {"seed": -1},
+    {"observable": {"kind": "random", "seed": -1}},
 ], ids=["output-not-object", "quadrature-not-object", "seed-string",
         "pairs-string", "negative-a", "nan-a", "fractional-cutoff",
         "bool-cutoff", "nan-grid-min", "int-csv-path", "int-output-path",
         "unknown-ensemble", "zero-tol", "negative-tol", "zero-panels",
-        "max-panels-key"])
+        "max-panels-key", "negative-seed", "negative-observable-seed"])
 def test_mistyped_config_exits_2(tmp_path, capsys, change):
     code, text = run(tmp_path, "genfun", dict(BASE, **change))
     assert code == 2 and text is None
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, change, seed", [
+    ("oracle", {"oracle": {"pairs": 1, "n_max": 10}}, -1),
+    ("observable", {"observable": {"kind": "random", "seed": -1}}, None),
+], ids=["oracle-seed-flag", "observable-seed"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, change, seed):
+    # before the command runs: no oracle_failure row, no domain error
+    code, text = run(tmp_path, command, dict(BASE, **change), seed=seed)
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed" in err and err.count("\n") == 1
+
+
+def test_unreadable_csv_and_unwritable_output_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    code, text = run(tmp_path, "observable",
+                     dict(BASE, cutoff_m=1, observable={"kind": "csv", "path": str(missing)}))
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(missing) in err
+    assert err.count("\n") == 1
+    out = tmp_path / "no-such-dir" / "out.txt"
+    code = main(["moments", "--config", write_cfg(tmp_path, BASE), "--out", str(out)])
+    assert code == 2 and not out.parent.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cutoff_m", [cli._CUTOFF_M_CAP + 1, 400])

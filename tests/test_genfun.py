@@ -177,6 +177,14 @@ def test_qk21_panels_match_one_at_a_time():
     assert (res[3], err[3]) == (0.0, 0.0)
 
 
+def test_integrand_nodes_match_one_at_a_time():
+    # a node's bits do not depend on the other nodes of its call
+    k = build_kernel(build_lattice(10), A16PI)
+    nodes = np.linspace(-0.4, 0.4, 37)
+    alone = [float(integrand_diagonal(k, x)) for x in nodes]
+    assert integrand_diagonal(k, nodes).tolist() == alone
+
+
 _GRID_POINTS = st.lists(st.just(0.0) | st.floats(-0.99, 0.99), min_size=1,
                         max_size=6)
 

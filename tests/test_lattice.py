@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bose_genfun.lattice import build_lattice, lattice_from_vectors, p_squared_array
+from bose_genfun.lattice import Lattice, build_lattice, lattice_from_vectors, p_squared_array
 
 TWO_PI = 2.0 * np.pi
 
@@ -20,7 +20,7 @@ def test_counts():
 def test_zero_mode_excluded_and_momenta_scaled():
     lat = build_lattice(2)
     assert not np.any(np.all(lat.vectors == 0, axis=1))
-    assert np.allclose(lat.momenta, TWO_PI * lat.vectors)
+    assert np.allclose(p_squared_array(lat), np.sum((TWO_PI * lat.vectors) ** 2, axis=1))
 
 
 def test_lexicographic_order():
@@ -30,12 +30,16 @@ def test_lexicographic_order():
 
 
 def test_negation_involution_exhaustive():
-    for m in (1, 2, 3):
-        lat = build_lattice(m)
-        neg = lat.neg_index
-        assert np.array_equal(neg[neg], np.arange(lat.size))
+    desk = [lattice_from_vectors(v) for v in ([(1, 0, 0)], [(1, 0, 0), (0, 1, 0)])]
+    for lat in [build_lattice(m) for m in (1, 2, 3, 4)] + desk:
+        neg, idx = lat.neg_index, np.arange(lat.size)
+        assert np.array_equal(neg[neg], idx)
         assert np.array_equal(lat.vectors[neg], -lat.vectors)
-        assert np.all(neg != np.arange(lat.size))  # no self-paired mode
+        assert np.all(neg != idx)  # no self-paired mode
+        # the mirror index, and the first half paired with it
+        assert np.array_equal(neg, idx[::-1])
+        half = idx[:lat.size // 2]
+        assert np.array_equal(lat.pairs, np.stack([half, neg[half]], axis=1))
 
 
 def test_pairs_partition():
@@ -88,6 +92,17 @@ def test_invalid_inputs():
         lattice_from_vectors(np.empty((0, 3), dtype=int))
     with pytest.raises(ValueError):
         lattice_from_vectors([(1, 0)])
+
+
+@pytest.mark.parametrize("vectors, reason", [
+    ([(-1, 0, 0), (0, 0, 0), (1, 0, 0)], "zero mode"),
+    ([(-1, 0, 0), (-1, 0, 0), (1, 0, 0), (1, 0, 0)], "not distinct"),
+    ([(-1, 0, 0), (0, 1, 0)], "not closed under negation"),
+    ([(0, 1, 0), (1, 0, 0), (-1, 0, 0), (0, -1, 0)], "lexicographically sorted"),
+], ids=["zero-vector", "repeated", "not-negation-closed", "not-lexicographic"])
+def test_lattice_type_enforces_its_invariant(vectors, reason):
+    with pytest.raises(ValueError, match=reason):
+        Lattice(cutoff_m=1, vectors=np.array(vectors, dtype=np.int64))
 
 
 _NONZERO = st.tuples(*[st.integers(-3, 3)] * 3).filter(lambda v: v != (0, 0, 0))
