@@ -10,10 +10,10 @@ The Bogoliubov generator is the anti-Hermitian K = sum_pairs nu *
 a*_{-p}.  A ladder word sends a basis state to at most one state, so
 operators are dense blocks between conserved-charge sectors (dGamma(O)
 keeps the total number, K each pair's n_{+p} - n_{-p}); the defect checks
-stack them, zero-padded.  Exponentials are scaled Taylor sums (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 2011), each block scaled by its own
-ceil(1-norm), then powered by products: an eigendecomposition would leave
-absolute rounding in the small tail amplitudes, which e^{lam N} amplifies.
+stack them, zero-padded.  Block exponentials are Taylor sums (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 2011) of each block over a power of two
+>= its 1-norm, squared back: an eigendecomposition would leave absolute
+rounding in the small tail amplitudes, which e^{lam N} amplifies.
 """
 
 from __future__ import annotations
@@ -164,17 +164,13 @@ def _expm_apply(apply, x: np.ndarray, norm: float) -> np.ndarray:
     return x
 
 
-def _expm(block: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """e^B x for a dense block B (or a stack of them), bounded by its 1-norm."""
-    return _expm_apply(lambda t, out: np.matmul(block, t, out=out),
-                       x.astype(np.result_type(block, x)),
-                       np.abs(block).sum(axis=-2).max(initial=0.0))
-
-
 def _expm_stack(a: np.ndarray) -> np.ndarray:
-    """e^{A_i} for each block of a stack: one Taylor run sums every e^{A_i/s_i},
-    s_i = ceil(||A_i||_1), until no entry moves; then T_i^{s_i} by products."""
-    s = np.maximum(1.0, np.ceil(np.abs(a).sum(axis=-2).max(axis=-1)))[:, None, None]
+    """e^{A_i} for each block of a stack: one Taylor run sums every e^{A_i/2^j_i},
+    2^j_i the least power of two >= max(1, ||A_i||_1), until no entry moves;
+    then T_i is squared j_i times (Higham 2005): work grows as log2 of the norm."""
+    mant, j = np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))  # norm = mant * 2^j
+    j = np.maximum(0, j - (mant == 0.5))[:, None, None]  # norm == 2^(j-1) needs j - 1
+    s = np.ldexp(1.0, j)
 
     def step(t, k, out):
         parts = np.matmul(a, t, out=out).view(np.float64)  # complex / real is slow
@@ -182,10 +178,9 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
         return out
 
     total = _taylor(np.tile(np.eye(a.shape[-1], dtype=a.dtype), (len(a), 1, 1)), step)
-    term, tmp = total.copy(), np.empty_like(total)  # term becomes T_i^{s_i}
-    for r in range(2, int(s.max()) + 1):
-        np.copyto(term, np.matmul(term, total, out=tmp), where=s >= r)
-    return term
+    for r in range(int(j.max(initial=0))):
+        np.copyto(total, total @ total, where=j > r)
+    return total
 
 
 def _top_shell_mass(space: FockSpace, v: np.ndarray) -> float:
@@ -201,7 +196,7 @@ def squeezed_vacuum(space: FockSpace, nu_by_pair) -> tuple[np.ndarray, float]:
     occ = space.occupations
     idx = np.flatnonzero(np.all(occ[:, 0::2] == occ[:, 1::2], axis=1))
     v = space.vacuum()
-    v[idx] = _expm(_stack(space, _k(space, nu_by_pair, idx), [idx], [idx])[0], v[idx].real)
+    v[idx] = _expm_stack(_stack(space, _k(space, nu_by_pair, idx), [idx], [idx]))[0, :, 0]
     return v, abs(1.0 - float(np.vdot(v, v).real)) + _top_shell_mass(space, v)
 
 
@@ -299,7 +294,10 @@ def bch_check(space: FockSpace, o_small, mode: int) -> float:
     if (o_small.shape != (space.modes, space.modes) or not np.isfinite(o_small).all()
             or not 0 <= mode < space.modes):
         raise ValueError("o_small must be finite and modes x modes, mode one of them")
-    col = _expm(o_small, np.eye(space.modes)[:, mode])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        col = _expm_stack(o_small[None])[0][:, mode]
+    if not np.isfinite(col).all():
+        raise ArithmeticError("the matrix exponential e^O overflowed")
     total = space.occupations.sum(axis=1)
     return _conjugation_defect(
         space, total, 1, lambda src: _dgamma(space, o_small, src),

@@ -1,17 +1,18 @@
 """Sparse, dense and test-only Fock-space references (tests only).
 
 The package builds its Fock operators as dense blocks between conserved-
-charge sectors, read off the occupation table, and takes every exponential
-with one scaled Taylor routine in numpy.  This module keeps the scipy code
-it replaced: the sparse ladder builders (a, a*, dGamma(O), K), the
-sector-by-sector ``scipy.linalg.expm`` pair, and the dense bodies that
-exponentiate the whole truncated space at once (an eigendecomposition of
-dGamma(O), a full expm of K).  It also keeps the per-sector conjugation
-defect that the stacked one replaced: one dense block and one Taylor run
-per sector, memoised by charge.  It also keeps the oracle helpers only the
-tests call: the number operator, the pair amplitudes of the fixed-point
-equation (taken with ``expm_multiply``) and the exact depletion law.  It
-has no ``test_`` prefix, so pytest imports it but collects nothing from it.
+charge sectors, read off the occupation table, and exponentiates every
+block with one scaling-and-squaring Taylor routine in numpy.  This module
+keeps the scipy code it replaced: the sparse ladder builders (a, a*,
+dGamma(O), K), the sector-by-sector ``scipy.linalg.expm`` pair, and the
+dense bodies that exponentiate the whole truncated space at once (an
+eigendecomposition of dGamma(O), a full expm of K).  It also keeps the
+per-sector conjugation defect that the stacked one replaced: one block pair
+and one Taylor run per sector, memoised by charge.  It also keeps the
+oracle helpers only the tests call: the number operator, the pair
+amplitudes of the fixed-point equation (taken with ``expm_multiply``) and
+the exact depletion law.  It has no ``test_`` prefix, so pytest imports it
+but collects nothing from it.
 """
 
 import math
@@ -21,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from bose_genfun.fockoracle import FockSpace, _expm, _sectors, _strides
+from bose_genfun.fockoracle import FockSpace, _expm_stack, _sectors, _strides
 
 
 def op_annihilate(space: FockSpace, mode: int) -> sp.csr_matrix:
@@ -117,7 +118,7 @@ def conjugation_defect_by_sector(space: FockSpace, charge: np.ndarray, shift, x_
     """Spectral norm of (e^X L e^{-X} - R)[:, keep], sector by sector.
 
     Same arguments as ``fockoracle._conjugation_defect``; e^{+-X} are taken
-    once per sector, in one Taylor run on the identity, and memoised.
+    once per sector, as one stack of the two blocks, and memoised.
     """
     sectors, exps = _sectors(charge), {}
 
@@ -125,8 +126,7 @@ def conjugation_defect_by_sector(space: FockSpace, charge: np.ndarray, shift, x_
         if c not in exps:
             idx = sectors[c]
             x = sector_block(space, x_images(idx), idx, idx)
-            exps[c] = _expm(np.stack([x, -x]),
-                            np.broadcast_to(np.eye(len(x)), (2,) + x.shape))
+            exps[c] = _expm_stack(np.stack([x, -x]))
         return exps[c]
 
     worst = 0.0

@@ -21,7 +21,6 @@ from bose_genfun.fockoracle import (
     DIM_CAP,
     _conjugation_defect,
     _dgamma,
-    _expm,
     _expm_stack,
     _k,
     _ladder,
@@ -291,9 +290,9 @@ def test_sector_blocking_is_checked():
     blocks = _stack(space, _dgamma(space, o, np.concatenate(sectors)), sectors, sectors)
     for idx, block in zip(sectors, blocks):
         block = block[:idx.size, :idx.size]
-        got = _expm(block, np.eye(idx.size))
+        got, back = _expm_stack(np.stack([block, -block]))
         assert np.max(np.abs(got - want[np.ix_(idx, idx)])) < 1e-13
-        assert np.max(np.abs(_expm(-block, got) - np.eye(idx.size))) < 1e-13
+        assert np.max(np.abs(back @ got - np.eye(idx.size))) < 1e-13
     e_plus, e_minus = _expm_pair_by_sector(dg, total)
     assert np.max(np.abs(e_plus.toarray() - want)) < 1e-13
     assert np.max(np.abs((e_plus @ e_minus).toarray() - np.eye(space.dim))) < 1e-13
@@ -353,6 +352,48 @@ def test_stacked_exponential_matches_scipy():
             assert np.max(np.abs(e_plus[i] @ e_minus[i] - np.eye(20))) < 1e-13
 
 
+def test_stacked_exponential_scales_to_a_power_of_two(monkeypatch):
+    # 1-norms on both sides of powers of two, widths 1-9 padded to 9: the
+    # Taylor run sees each block divided by the least 2^j >= max(1, norm),
+    # exactly, and the squares land within 1e-13 * norm of scipy
+    rng = np.random.default_rng(29)
+    norms = [0.3, 1.0, 2.0, 2.0 * (1 + 2**-52), 37.0, 1e3]
+    blocks = []
+    for norm in norms:
+        for kind in ("diagonal", "anti-Hermitian", "Hermitian"):
+            w = int(rng.integers(1, 10))
+            if kind == "diagonal":  # this 1-norm is exact
+                blocks.append(np.diag(1j * norm * np.linspace(1.0, -1.0, w)))
+                assert np.abs(blocks[-1]).sum(axis=0).max() == norm
+                continue
+            if kind == "Hermitian" and norm > 37.0:  # e^1000 overflows
+                continue
+            h = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+            h = h + h.conj().T if kind == "Hermitian" else h - h.conj().T
+            blocks.append(h * norm / np.abs(h).sum(axis=0).max())
+    stack = np.zeros((len(blocks), 9, 9), dtype=complex)
+    for i, b in enumerate(blocks):
+        stack[i, :len(b), :len(b)] = b
+    seen, taylor = [], fockoracle._taylor
+
+    def spy(start, step):
+        seen.append(step(start.copy(), 1, np.empty_like(start)))  # A_i / 2^j_i
+        return taylor(start, step)
+
+    monkeypatch.setattr(fockoracle, "_taylor", spy)
+    got = _expm_stack(stack)
+    assert len(seen) == 1
+    for i, b in enumerate(blocks):
+        w, norm = len(b), np.abs(b).sum(axis=0).max()
+        scale = 1.0
+        while scale < norm:
+            scale *= 2.0
+        assert np.array_equal(seen[0][i], stack[i] / scale)
+        want = scipy.linalg.expm(b)
+        assert np.max(np.abs(got[i, :w, :w] - want)) <= (
+            1e-13 * max(1.0, norm) * max(1.0, np.abs(want).max()))
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), pairs=st.sampled_from([1, 2]))
 def test_stacked_defects_match_per_sector_reference(data, pairs):
@@ -381,7 +422,8 @@ def test_stacked_defects_match_per_sector_reference(data, pairs):
 def test_defect_checks_run_one_taylor_per_width_group(n_max, monkeypatch):
     # a deterministic guard instead of a timing: the stacked checks run at
     # most one Taylor loop per padded width (powers of two up to the widest
-    # block), however many sectors there are
+    # block), however many sectors there are, plus one for bch's e^O column;
+    # no check applies an exponential step by step
     space = build_space(1, n_max)
     groups = math.ceil(math.log2(n_max + 1)) + 1
     runs = {"stack": 0, "apply": 0}
@@ -395,12 +437,13 @@ def test_defect_checks_run_one_taylor_per_width_group(n_max, monkeypatch):
     monkeypatch.setattr(fockoracle, "_expm_stack", counted("stack", _expm_stack))
     monkeypatch.setattr(fockoracle, "_expm_apply", counted("apply", fockoracle._expm_apply))
     h = np.array([[0.1, 0.2j], [-0.2j, -0.15]])
-    for check, apply_runs in ((lambda: bch_check(space, h, 0), 1),  # e^O's column
-                              (lambda: bogoliubov_action_defect(space, [-0.03], 0), 0)):
+    for check, column_runs in ((lambda: bch_check(space, h, 0), 1),
+                               (lambda: bogoliubov_action_defect(space, [-0.03], 0), 0)):
         runs.update(stack=0, apply=0)
         assert check() < 1e-8
-        assert 0 < runs["stack"] <= groups < n_max // 2
-        assert runs["apply"] == apply_runs
+        assert column_runs < runs["stack"] <= groups + column_runs
+        assert groups < n_max // 2
+        assert runs["apply"] == 0
 
 
 def test_defect_checks_fail_loudly():
@@ -424,13 +467,17 @@ def test_defect_checks_fail_loudly():
 _OVERFLOW_PROBE = """
 import math, sys, warnings
 import numpy as np
-from bose_genfun.fockoracle import bch_check, build_space, mgf_oracle
+from bose_genfun.fockoracle import bch_check, build_space, mgf_oracle, squeezed_vacuum
 warnings.simplefilter("error")
 space, flip = build_space(1, 6), np.array([[0.0, 1.0], [1.0, 0.0]])
 diag = lambda lam: mgf_oracle(space, [-0.2], np.eye(2), lam)
 case = {"taylor": lambda: mgf_oracle(space, [-0.2], flip, 300.0,
                                      required_accuracy=math.inf),
         "power": lambda: bch_check(space, 100 * flip, 0),
+        "column": lambda: bch_check(space, 1e6 * flip, 0),
+        "rotation": lambda: bch_check(space, 1e10 * np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                                      0) < 1e-3,
+        "vacuum": lambda: squeezed_vacuum(space, [-1e10])[1] < math.inf,
         "nan": lambda: diag(math.nan), "inf": lambda: diag(math.inf),
         "value": lambda: diag(100.0)}[sys.argv[1]]
 try:
@@ -443,13 +490,18 @@ except Exception as exc:
 @pytest.mark.parametrize("case, want", [
     ("taylor", "ArithmeticError the Taylor sum of a matrix exponential overflowed"),
     ("power", "ArithmeticError the conjugation defect overflowed"),
+    ("column", "ArithmeticError the matrix exponential e^O overflowed"),
+    ("rotation", "returned True"),
+    ("vacuum", "returned True"),
     ("nan", "ValueError lam must be finite"),
     ("inf", "ValueError lam must be finite"),
     ("value", "ArithmeticError oracle value overflowed at lam=100"),
-], ids=["taylor", "power", "nan", "inf", "value"])
+], ids=["taylor", "power", "column", "rotation", "vacuum", "nan", "inf", "value"])
 def test_oracle_overflow_fails_loudly(case, want):
-    # the parent code never returned from "taylor", returned nan after LAPACK
-    # errors on stderr for "power", and nan or inf values for the others
+    # "rotation" and "vacuum" once asked for about 1e10 and 1e11 Taylor runs,
+    # one per unit of 1-norm, and never returned; "column" overflowed in its
+    # Taylor steps and now in its squares; "taylor" never returned, "power"
+    # returned nan after LAPACK errors on stderr, and the others nan or inf
     src = os.path.dirname(os.path.dirname(os.path.abspath(fockoracle.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
