@@ -1,23 +1,25 @@
 """Command-line front end: JSON config in, CSV/JSON tables out.
 
-Outputs are deterministic given (config, seed): no timestamps, floats
-printed with 17 significant digits, files written atomically.  Exit codes:
-0 success, 2 config error (also a negative seed, an unreadable CSV or an
-unwritable output), 3 domain error (lambda outside the admissible interval or
-a quadrature/domain failure), 4 oracle breach, 5 any other exception; each
-failure prints one stderr line, no traceback.
+The table _CONFIG names every config key with its parser and default; any
+other key is a config error.  Outputs are deterministic given (config, seed):
+no timestamps, floats printed with 17 significant digits, files written
+atomically.  Exit codes: 0 success, 2 config error (also a negative seed, an
+unreadable CSV or an unwritable output), 3 domain error (lambda outside the
+admissible interval or a quadrature/domain failure), 4 oracle breach, 5 any
+other exception; each failure prints one stderr line, no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,22 +55,8 @@ class OracleBreach(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    potential: PotentialSpec
-    convention: str
-    cutoff_m: int
-    lambda_min: float
-    lambda_max: float
-    lambda_count: int
-    quad_tol: float
-    observable: dict
-    oracle: dict | None
-    output_format: str
-    output_path: str | None
-    n_list: list | None
-    seed: int
-    sha256: str
+class RunConfig(SimpleNamespace):
+    """A parsed config: the root keys of _CONFIG, and the file's sha256."""
 
 
 def _int(value, name: str, least: int | None = None) -> int:
@@ -78,6 +66,9 @@ def _int(value, name: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ConfigError(f"{name} must be >= {least} (got {value})")
     return value
+
+
+_seed = functools.partial(_int, least=0)
 
 
 def _float(value, name: str) -> float:
@@ -91,6 +82,13 @@ def _float(value, name: str) -> float:
     return float(value)
 
 
+def _numbers(value, name: str) -> list:
+    """A config list of finite numbers."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of numbers")
+    return [_float(x, f"{name} entry") for x in value]
+
+
 def _path(value, name: str):
     """A config path: a JSON string, or None when absent."""
     if value is not None and not isinstance(value, str):
@@ -98,15 +96,32 @@ def _path(value, name: str):
     return value
 
 
-def _section(raw: dict, key: str, default):
-    """A config section: a JSON object, or the default when absent (None
-    marks an optional section)."""
-    value = raw.get(key, default)
-    if value is None and default is None:
-        return None
+def _choice(*options: str):
+    """The parser of a config string that must be one of options."""
+    def parse(value, name: str) -> str:
+        if value not in options:
+            raise ConfigError(f"{name} must be {'|'.join(options)} (got {value!r})")
+        return value
+    return parse
+
+
+def _optional(parse):
+    """parse, except that null (or an absent key whose default is None) is None."""
+    return lambda value, name: None if value is None else parse(value, name)
+
+
+def _section(value, name: str, fields: dict | None = None) -> dict:
+    """A config section: a JSON object of keys in `fields` (by default the
+    section's row of _CONFIG), each parsed, an absent one from its default."""
+    fields = _CONFIG[name] if fields is None else fields
+    where = name or "the config root"
     if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be an object")
-    return value
+        raise ConfigError(f"{where} must be an object")
+    for key in value:
+        if key not in fields:
+            raise ConfigError(f"{where} has no key {key!r} (it takes {', '.join(fields)})")
+    return {key: parse(value.get(key, default), f"{name}.{key}" if name else key)
+            for key, (parse, default) in fields.items()}
 
 
 _POTENTIAL_FIELDS = {"zero": (), "square_well": ("v", "radius"),
@@ -114,18 +129,40 @@ _POTENTIAL_FIELDS = {"zero": (), "square_well": ("v", "radius"),
                      "direct": ("a",)}
 
 
-def _parse_potential(raw) -> PotentialSpec:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("potential must be an object with a 'kind'")
-    kind = raw["kind"]
-    if not isinstance(kind, str) or kind not in _POTENTIAL_FIELDS:
-        raise ConfigError(f"unknown potential kind {kind!r}")
-    params = {key: _float(raw.get(key), f"potential.{key}")
-              for key in _POTENTIAL_FIELDS[kind]}
+def _potential(value, name: str) -> PotentialSpec:
+    """The potential section: a 'kind' and that kind's _POTENTIAL_FIELDS."""
+    kinds = _choice(*_POTENTIAL_FIELDS)
+    kind = kinds(value.get("kind") if isinstance(value, dict) else None, f"{name}.kind")
+    fields = dict.fromkeys(_POTENTIAL_FIELDS[kind], (_float, None))
     try:
-        return PotentialSpec(kind=kind, **params)
+        return PotentialSpec(**_section(value, name, {"kind": (kinds, None), **fields}))
     except ValueError as exc:
         raise ConfigError(f"bad potential parameters: {exc}") from exc
+
+
+# section ("" is the root) -> key -> (parser, default).  A default is written
+# as in the JSON and parsed like a given value: a required key's None fails.
+_CONFIG = {
+    "": {"potential": (_potential, {"kind": "zero"}),
+         "convention": (_choice("paper", "standard"), "paper"),
+         "cutoff_m": (_int, None),
+         "lambda_grid": (_section, {}),
+         "quadrature": (_section, {}),
+         "observable": (_section, {}),
+         "oracle": (_optional(_section), None),
+         "output": (_section, {}),
+         "n_list": (_optional(_numbers), None),
+         "seed": (_seed, 0)},
+    "lambda_grid": {"min": (_float, -0.5), "max": (_float, 0.5), "count": (_int, 11)},
+    "quadrature": {"tol": (_float, 1e-10)},
+    "observable": {"kind": (_choice("none", "identity", "csv", "random"), "none"),
+                   "path": (_path, None),
+                   "ensemble": (_choice("real-parity", "hermitian"), "real-parity"),
+                   "pairs": (_int, 2),
+                   "seed": (_optional(_seed), None)},  # None: the root seed
+    "oracle": {"pairs": (_int, None), "n_max": (_int, None)},
+    "output": {"format": (_choice("csv", "json"), "csv"), "path": (_path, None)},
+}
 
 
 def parse_config(args: argparse.Namespace) -> RunConfig:
@@ -136,78 +173,38 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
             blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    sha = hashlib.sha256(blob).hexdigest()
     try:
         raw = json.loads(blob)
     except ValueError as exc:  # JSONDecodeError, or bytes that decode to no text
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+    cfg = _section(raw, "")
 
-    potential = _parse_potential(raw.get("potential", {"kind": "zero"}))
-    convention = raw.get("convention", "paper")
-    if convention not in ("paper", "standard"):
-        raise ConfigError(f"convention must be 'paper' or 'standard', got {convention!r}")
-    cutoff_m = _int(raw.get("cutoff_m"), "cutoff_m")
-    if not 1 <= cutoff_m <= _CUTOFF_M_CAP:
-        raise ConfigError(f"cutoff_m must be in 1..{_CUTOFF_M_CAP} (got {cutoff_m})")
-
-    grid = _section(raw, "lambda_grid", {"min": -0.5, "max": 0.5, "count": 11})
-    lmin = _float(grid.get("min"), "lambda_grid.min")
-    lmax = _float(grid.get("max"), "lambda_grid.max")
-    count = _int(grid.get("count"), "lambda_grid.count")
-    if not 1 <= count <= 100_000 or lmax < lmin:
+    # the rules that compare fields or depend on a value
+    if not 1 <= cfg["cutoff_m"] <= _CUTOFF_M_CAP:
+        raise ConfigError(f"cutoff_m must be in 1..{_CUTOFF_M_CAP} (got {cfg['cutoff_m']})")
+    grid = cfg["lambda_grid"]
+    if not 1 <= grid["count"] <= 100_000 or grid["max"] < grid["min"]:
         raise ConfigError("lambda_grid needs 1 <= count <= 100000 and max >= min")
-
-    q = _section(raw, "quadrature", {})
-    quad_tol = _float(q.get("tol", 1e-10), "quadrature.tol")
-    if set(q) - {"tol"} or not quad_tol > 0.0:
-        raise ConfigError(f"quadrature takes one positive 'tol' (got {q!r})")
-
-    obs = _section(raw, "observable", {"kind": "none"})
-    if obs.get("kind") not in ("none", "identity", "csv", "random"):
-        raise ConfigError("observable.kind must be none|identity|csv|random")
-    if obs["kind"] == "csv" and not _path(obs.get("path"), "observable.path"):
+    if not cfg["quadrature"]["tol"] > 0.0:
+        raise ConfigError(f"quadrature.tol must be positive (got {cfg['quadrature']['tol']})")
+    obs = cfg["observable"]
+    if obs["kind"] == "csv" and not obs["path"]:
         raise ConfigError("observable.kind=csv requires a 'path'")
-    if obs.get("ensemble", "real-parity") not in ("real-parity", "hermitian"):
-        raise ConfigError("observable.ensemble must be real-parity|hermitian")
-    obs = dict(obs, pairs=_int(obs.get("pairs", 2), "observable.pairs"))
     if obs["kind"] == "random" and obs["pairs"] not in (1, 2):
         raise ConfigError("observable.random supports pairs in {1, 2}")
-    _int(obs.get("seed", 0), "observable.seed", 0)
 
-    oracle = _section(raw, "oracle", None)
-    if oracle is not None:
-        oracle = {key: _int(oracle.get(key), f"oracle.{key}")
-                  for key in ("pairs", "n_max")}
-
-    out = _section(raw, "output", {})
-    fmt = out.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("output.format must be csv or json")
-    out_path = _path(out.get("path"), "output.path")
-    if args.out is not None:
-        out_path = args.out
-
-    n_list = raw.get("n_list")
     if getattr(args, "n_list", None) is not None:
         try:
-            n_list = [float(x) for x in args.n_list.split(",")]
+            cfg["n_list"] = _numbers([float(x) for x in args.n_list.split(",")], "--n-list")
         except ValueError as exc:
             raise ConfigError(f"--n-list must be comma-separated numbers: {exc}") from exc
-    if n_list is not None:
-        if not isinstance(n_list, list):
-            raise ConfigError("n_list must be a list of numbers")
-        n_list = [_float(x, "n_list entry") for x in n_list]
-
-    seed = _int(raw.get("seed", 0), "seed", 0)
     if args.seed is not None:
-        seed = _int(args.seed, "--seed", 0)
-    return RunConfig(potential=potential, convention=convention, cutoff_m=cutoff_m,
-                     lambda_min=lmin, lambda_max=lmax, lambda_count=count,
-                     quad_tol=quad_tol, observable=obs, oracle=oracle,
-                     output_format=fmt, output_path=out_path, n_list=n_list,
-                     seed=seed, sha256=sha)
+        cfg["seed"] = _seed(args.seed, "--seed")
+    if obs["seed"] is None:
+        obs["seed"] = cfg["seed"]
+    if args.out is not None:
+        cfg["output"]["path"] = args.out
+    return RunConfig(**cfg, sha256=hashlib.sha256(blob).hexdigest())
 
 
 def _a16pi(cfg: RunConfig) -> float:
@@ -226,7 +223,8 @@ def _desk_kernel(pairs: int, a16pi: float) -> SpectrumKernel:
 def _lambda_grid(cfg: RunConfig, limit: float, warnings: list) -> np.ndarray:
     """The config grid, clipped to |lambda| < limit less a 1e-9 relative
     margin (an infinite limit keeps every point)."""
-    lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
+    grid = cfg.lambda_grid
+    lams = np.linspace(grid["min"], grid["max"], grid["count"])
     limit *= 1.0 - 1e-9
     keep = np.abs(lams) < limit
     if not np.all(keep):
@@ -248,7 +246,7 @@ def _render(cfg: RunConfig, command: str, columns: list, rows: list,
             "convention": cfg.convention, "cutoff_m": cfg.cutoff_m}
     meta.update(extra_meta)
     meta["warnings"] = warnings
-    if cfg.output_format == "json":
+    if cfg.output["format"] == "json":
         body = {"meta": meta,
                 "rows": [dict(zip(columns, row)) for row in rows]}
         return json.dumps(body, indent=2) + "\n"
@@ -279,11 +277,11 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _emit(cfg, command, columns, rows, extra_meta, warnings) -> None:
     text = _render(cfg, command, columns, rows, extra_meta, warnings)
-    if cfg.output_path:
+    if cfg.output["path"]:
         try:
-            _write_atomic(cfg.output_path, text)
+            _write_atomic(cfg.output["path"], text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {cfg.output_path}: {exc.strerror}") from exc
+            raise ConfigError(f"cannot write {cfg.output['path']}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -312,7 +310,7 @@ def _scalar_grid(cfg: RunConfig, k: SpectrumKernel,
     and the meta lines quad_evals and quad_abserr_max of its quadrature."""
     lams = _lambda_grid(cfg, k.lambda0, warnings)
     stats = QuadratureStats()
-    quad = log_mgf_grid(k, lams, cfg.quad_tol, stats)
+    quad = log_mgf_grid(k, lams, cfg.quadrature["tol"], stats)
     rows = [(float(lam), float(qv), log_mgf_closed(k, float(lam)))
             for lam, qv in zip(lams, quad)]
     return rows, {"quad_evals": stats.evals,
@@ -405,9 +403,8 @@ def cmd_observable(cfg: RunConfig) -> int:
 
     if kind == "random":
         work_k = _desk_kernel(cfg.observable["pairs"], _a16pi(cfg))
-        seed = cfg.observable.get("seed", cfg.seed)
-        ensemble = cfg.observable.get("ensemble", "real-parity")
-        obs = observable_random(work_k.lattice, seed, ensemble=ensemble)
+        obs = observable_random(work_k.lattice, cfg.observable["seed"],
+                                ensemble=cfg.observable["ensemble"])
     else:  # csv
         modes = (2 * cfg.cutoff_m + 1) ** 3 - 1
         if modes > _CSV_OBS_MODE_CAP:

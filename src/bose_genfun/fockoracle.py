@@ -7,13 +7,14 @@ The package is validated against them; truncation error is always reported.
 
 The Bogoliubov generator is the anti-Hermitian K = sum_pairs nu *
 (a*_p a*_{-p} - a_p a_{-p}), so e^{-K} a_p e^{K} = cosh(nu) a_p + sinh(nu)
-a*_{-p}.  A ladder word sends a basis state to at most one state, so
-operators are dense blocks between conserved-charge sectors (dGamma(O)
-keeps the total number, K each pair's n_{+p} - n_{-p}); the defect checks
-stack them, zero-padded.  Block exponentials are Taylor sums (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 2011) of each block over a power of two
->= its 1-norm, squared back: an eigendecomposition would leave absolute
-rounding in the small tail amplitudes, which e^{lam N} amplifies.
+a*_{-p}, and its commuting pair terms make e^K |vac> a Kronecker product of
+one-pair states.  A ladder word sends a basis state to at most one state, so
+operators are dense blocks between conserved-charge sectors (dGamma(O) keeps
+the total number, K each pair's n_{+p} - n_{-p}); the defect checks stack
+them, zero-padded.  Block exponentials are Taylor sums (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 2011) of each block over a power of two >= its
+1-norm, squared back: an eigendecomposition would leave absolute rounding in
+the small tail amplitudes, which e^{lam N} amplifies.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
-
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=complex)
-        v[0] = 1.0
-        return v
 
 
 @dataclass(frozen=True)
@@ -191,12 +187,19 @@ def _top_shell_mass(space: FockSpace, v: np.ndarray) -> float:
 def squeezed_vacuum(space: FockSpace, nu_by_pair) -> tuple[np.ndarray, float]:
     """e^{K} |vac> and a truncation estimate (norm defect + top-shell mass).
 
-    Taken on the vacuum's K-sector, where every pair is balanced.
+    K's pair terms commute and each acts on its own pair, so e^K |vac> is the
+    Kronecker product of one-pair states: column 0 of e^{K_i} on the balanced
+    states |k,k> of a one-pair space, every pair's block in one stack.
     """
-    occ = space.occupations
-    idx = np.flatnonzero(np.all(occ[:, 0::2] == occ[:, 1::2], axis=1))
-    v = space.vacuum()
-    v[idx] = _expm_stack(_stack(space, _k(space, nu_by_pair, idx), [idx], [idx]))[0, :, 0]
+    nu_by_pair = np.asarray(nu_by_pair, dtype=float)
+    if nu_by_pair.shape != (space.pairs,):
+        raise ValueError("nu_by_pair must hold one finite nu per pair")
+    one = build_space(1, space.n_max)
+    idx = np.flatnonzero(one.occupations[:, 0] == one.occupations[:, 1])
+    states = np.zeros((space.pairs, one.dim), dtype=complex)
+    states[:, idx] = _expm_stack(np.concatenate(
+        [_stack(one, _k(one, [nu], idx), [idx], [idx]) for nu in nu_by_pair]))[:, :, 0]
+    v = states[0] if space.pairs == 1 else np.kron(*states)
     return v, abs(1.0 - float(np.vdot(v, v).real)) + _top_shell_mass(space, v)
 
 

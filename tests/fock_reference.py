@@ -151,7 +151,9 @@ def pair_amplitudes(space: FockSpace, nu_by_pair, o_small, lam: float):
     o_small = np.asarray(o_small, dtype=complex)
     k = build_bogoliubov_generator(space, nu_by_pair)
     dg = second_quantized(space, o_small)
-    y = expm_multiply(k, space.vacuum())
+    vac = np.zeros(space.dim, dtype=complex)
+    vac[0] = 1.0
+    y = expm_multiply(k, vac)
     y = expm_multiply(lam * dg, y)
     y = expm_multiply(-k, y)
     g = complex(y[0])

@@ -497,6 +497,25 @@ def test_mistyped_config_exits_2(tmp_path, capsys, change):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("change, key, section", [
+    ({"lamda_grid": {"min": -0.5, "max": 0.5, "count": 3}}, "lamda_grid",
+     "the config root"),
+    ({"observable": {"kind": "random", "sed": 4}}, "sed", "observable"),
+    ({"oracle": {"pairs": 1, "n_max": 10, "nmax": 9}}, "nmax", "oracle"),
+    ({"output": {"fmt": "json"}}, "fmt", "output"),
+    ({"lambda_grid": {"min": -0.5, "max": 0.5, "count": 3, "step": 0.5}}, "step",
+     "lambda_grid"),
+    ({"potential": {"kind": "direct", "a": 0.01, "v": 1.0}}, "v", "potential"),
+], ids=["root", "observable", "oracle", "output", "lambda-grid", "potential"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, change, key, section):
+    # a misspelt or foreign key is refused, not ignored for a default
+    code, text = run(tmp_path, "genfun", dict(BASE, **change))
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section} has no key {key!r}")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, change, seed", [
     ("oracle", {"oracle": {"pairs": 1, "n_max": 10}}, -1),
     ("observable", {"observable": {"kind": "random", "seed": -1}}, None),

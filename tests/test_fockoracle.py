@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 from hypothesis import given, settings, strategies as st
 
 from bose_genfun import fockoracle
@@ -67,7 +68,8 @@ def test_dimensions_and_caps():
 
 def test_ladder_algebra():
     space = build_space(1, 6)
-    vac = space.vacuum()
+    vac = np.zeros(space.dim, dtype=complex)
+    vac[0] = 1.0
     for m in range(space.modes):
         a = op_annihilate(space, m)
         assert np.max(np.abs(a @ vac)) == 0.0
@@ -113,6 +115,29 @@ def test_squeezed_vacuum_structure():
     # mean quanta 2 sinh^2 nu
     n_mean = float(np.vdot(v, number_operator(space) @ v).real)
     assert n_mean == pytest.approx(2.0 * math.sinh(nu) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [(-0.45, -0.3), (0.0, -0.5)])
+def test_squeezed_vacuum_is_the_product_of_pair_states(nu):
+    # e^K vac built pair by pair equals e^K applied to vac on the 2-pair space
+    space = build_space(2, 6)
+    vac = np.zeros(space.dim, dtype=complex)
+    vac[0] = 1.0
+    want = expm_multiply(build_bogoliubov_generator(space, nu), vac)
+    got, _ = squeezed_vacuum(space, nu)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_squeezed_vacuum_exponentiates_one_block_per_pair(monkeypatch):
+    shapes = []
+
+    def spy(a):
+        shapes.append(a.shape)
+        return _expm_stack(a)
+
+    monkeypatch.setattr(fockoracle, "_expm_stack", spy)
+    squeezed_vacuum(build_space(2, 10), [-0.3, -0.2])
+    assert shapes == [(2, 11, 11)]
 
 
 def test_mgf_oracle_against_closed_form():
