@@ -2,11 +2,13 @@
 
 The table _CONFIG names every config key with its parser and default; any
 other key is a config error.  Outputs are deterministic given (config, seed):
-no timestamps, floats printed with 17 significant digits, files written
-atomically.  Exit codes: 0 success, 2 config error (also a negative seed, an
-unreadable CSV or an unwritable output), 3 domain error (lambda outside the
-admissible interval or a quadrature/domain failure), 4 oracle breach, 5 any
-other exception; each failure prints one stderr line, no traceback.
+no timestamps, floats printed with 17 significant digits (a non-finite one
+as inf, -inf or nan, a string in JSON), files written atomically with the
+mode a plain write gives.  Exit codes: 0 success, 2 config error (also a
+negative seed, an unreadable CSV or an unwritable output), 3 domain error
+(lambda outside the admissible interval or a quadrature/domain failure), 4
+oracle breach, 5 any other exception; each failure prints one stderr line,
+no traceback.
 """
 
 from __future__ import annotations
@@ -192,6 +194,12 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("observable.kind=csv requires a 'path'")
     if obs["kind"] == "random" and obs["pairs"] not in (1, 2):
         raise ConfigError("observable.random supports pairs in {1, 2}")
+    if cfg["oracle"] is not None:
+        from .fockoracle import check_space  # loaded only for an oracle section
+        try:
+            check_space(cfg["oracle"]["pairs"], cfg["oracle"]["n_max"])
+        except ValueError as exc:
+            raise ConfigError(f"oracle: {exc}") from exc
 
     if getattr(args, "n_list", None) is not None:
         try:
@@ -239,6 +247,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_value(x):
+    """x, or for a non-finite float the string the CSV prints (JSON has no inf)."""
+    return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _render(cfg: RunConfig, command: str, columns: list, rows: list,
             extra_meta: dict, warnings: list) -> str:
     meta = {"version": __version__, "command": command,
@@ -247,8 +260,8 @@ def _render(cfg: RunConfig, command: str, columns: list, rows: list,
     meta.update(extra_meta)
     meta["warnings"] = warnings
     if cfg.output["format"] == "json":
-        body = {"meta": meta,
-                "rows": [dict(zip(columns, row)) for row in rows]}
+        body = {"meta": {key: _json_value(val) for key, val in meta.items()},
+                "rows": [dict(zip(columns, map(_json_value, row))) for row in rows]}
         return json.dumps(body, indent=2) + "\n"
     lines = []
     for key, val in meta.items():
@@ -265,8 +278,11 @@ def _render(cfg: RunConfig, command: str, columns: list, rows: list,
 def _write_atomic(path: str, text: str) -> None:
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-out-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o666 & ~umask)  # the mode of a plain write, not mkstemp's 0600
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -458,15 +474,12 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     if cfg.oracle is None:
         raise ConfigError("the oracle command needs an 'oracle' config section")
-    try:
-        pairs, n_max = cfg.oracle["pairs"], cfg.oracle["n_max"]
-        space = build_space(pairs, n_max)
-        # the 1-pair diagnostics (BCH / generator action) need enough shells
-        # for their 1e-8 tolerances; dim stays tiny for a single pair
-        n1 = min(max(n_max, 20), 30)
-        space1 = space if (pairs, n_max) == (1, n1) else build_space(1, n1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    pairs, n_max = cfg.oracle["pairs"], cfg.oracle["n_max"]
+    space = build_space(pairs, n_max)  # parse_config checked its caps
+    # the 1-pair diagnostics (BCH / generator action) need enough shells
+    # for their 1e-8 tolerances; dim stays tiny for a single pair
+    n1 = min(max(n_max, 20), 30)
+    space1 = space if (pairs, n_max) == (1, n1) else build_space(1, n1)
 
     a16pi = _a16pi(cfg)
     dk = _desk_kernel(pairs, a16pi)
@@ -486,7 +499,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
 
     try:
         # a one-pair request is itself the one-pair MGF space: one MGF check
-        mg1 = mgf_oracle(space if pairs == 1 else space1, nu1, np.eye(2), lam)
+        mg1 = mgf_oracle(space if pairs == 1 else space1, nu1, np.ones(2), lam)
         closed1 = log_mgf_closed(dk1, lam)
         detail1 = f"lambda={lam:.6g};truncation={mg1.truncation_estimate:.3g}"
         record("mgf_1pair_vs_closed", abs(math.log(mg1.value) - closed1),
@@ -494,7 +507,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         record("mgf_1pair_truncation", mg1.truncation_estimate, 1e-6, detail1)
 
         if pairs == 2:
-            mg = mgf_oracle(space, nu_by_pair, np.eye(4), lam)
+            mg = mgf_oracle(space, nu_by_pair, np.ones(4), lam)
             closed = log_mgf_closed(dk, lam)
             record("mgf_2pair_vs_closed", abs(math.log(mg.value) - closed),
                    max(1e-8, 10.0 * mg.truncation_estimate),

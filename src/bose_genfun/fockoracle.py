@@ -8,13 +8,14 @@ The package is validated against them; truncation error is always reported.
 The Bogoliubov generator is the anti-Hermitian K = sum_pairs nu *
 (a*_p a*_{-p} - a_p a_{-p}), so e^{-K} a_p e^{K} = cosh(nu) a_p + sinh(nu)
 a*_{-p}, and its commuting pair terms make e^K |vac> a Kronecker product of
-one-pair states.  A ladder word sends a basis state to at most one state, so
-operators are dense blocks between conserved-charge sectors (dGamma(O) keeps
-the total number, K each pair's n_{+p} - n_{-p}); the defect checks stack
-them, zero-padded.  Block exponentials are Taylor sums (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33, 2011) of each block over a power of two >= its
-1-norm, squared back: an eigendecomposition would leave absolute rounding in
-the small tail amplitudes, which e^{lam N} amplifies.
+one-pair states.  The MGF oracle's O is diagonal and acts state by state.
+A ladder word sends a basis state to at most one state, so the defect
+checks' operators are zero-padded stacks of dense blocks between conserved-
+charge sectors (dGamma(O) keeps the total number, K each pair's n_{+p} -
+n_{-p}).  Each block is exponentiated as a Taylor sum (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33, 2011) over a power of two >= its 1-norm, squared
+back: an eigendecomposition would leave absolute rounding in the small tail
+amplitudes, which e^{lam N} amplifies.
 """
 
 from __future__ import annotations
@@ -58,16 +59,20 @@ class OracleValue:
     truncation_estimate: float
 
 
-def build_space(pairs: int, n_max: int) -> FockSpace:
+def check_space(pairs: int, n_max: int) -> None:
+    """Raise ValueError unless build_space(pairs, n_max) is within the caps."""
     if pairs not in (1, 2):
-        raise ValueError("oracle supports 1 or 2 mode pairs")
+        raise ValueError(f"pairs must be 1 or 2 (got {pairs})")
     if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    modes = 2 * pairs
-    dim = (n_max + 1) ** modes
+        raise ValueError(f"n_max must be at least 2 (got {n_max})")
+    dim = (n_max + 1) ** (2 * pairs)
     if dim > DIM_CAP:
         raise ValueError(f"Fock dimension {dim} exceeds cap {DIM_CAP}")
-    grids = np.meshgrid(*([np.arange(n_max + 1)] * modes), indexing="ij")
+
+
+def build_space(pairs: int, n_max: int) -> FockSpace:
+    check_space(pairs, n_max)
+    grids = np.meshgrid(*([np.arange(n_max + 1)] * (2 * pairs)), indexing="ij")
     occ = np.stack([g.reshape(-1) for g in grids], axis=1)
     return FockSpace(pairs=pairs, n_max=n_max, occupations=occ)
 
@@ -150,16 +155,6 @@ def _taylor(start: np.ndarray, step) -> np.ndarray:
     raise ArithmeticError("the Taylor sum of a matrix exponential overflowed")
 
 
-def _expm_apply(apply, x: np.ndarray, norm: float) -> np.ndarray:
-    """e^A x for the A with action apply(x, out) and 1-norm at most `norm`:
-    s = ceil(norm) scaled Taylor steps e^{A/s} (Al-Mohy & Higham 2011)."""
-    steps = max(1, math.ceil(norm))
-    with np.errstate(over="ignore", invalid="ignore"):  # callers refuse a non-finite e^A x
-        for _ in range(steps):
-            x = _taylor(x, lambda t, k, out: np.divide(apply(t, out), k * steps, out=out))
-    return x
-
-
 def _expm_stack(a: np.ndarray) -> np.ndarray:
     """e^{A_i} for each block of a stack: one Taylor run sums every e^{A_i/2^j_i},
     2^j_i the least power of two >= max(1, ||A_i||_1), until no entry moves;
@@ -203,42 +198,21 @@ def squeezed_vacuum(space: FockSpace, nu_by_pair) -> tuple[np.ndarray, float]:
     return v, abs(1.0 - float(np.vdot(v, v).real)) + _top_shell_mass(space, v)
 
 
-def mgf_oracle(space: FockSpace, nu_by_pair, o_small, lam: float,
+def mgf_oracle(space: FockSpace, nu_by_pair, weights, lam: float,
                required_accuracy: float = 1e-6) -> OracleValue:
-    """<v, e^{lam dGamma(O)} v> for the squeezed vacuum v = e^K vac.
-
-    O must be Hermitian; the expectation is evaluated as the squared norm
-    of e^{(lam/2) dGamma(O)} v, which is exact for self-adjoint dGamma(O).
-    A diagonal O acts state by state; otherwise dGamma(O) is applied word
-    by word to the whole space.  Raises ValueError on a non-finite lam or a
-    truncation estimate above required_accuracy, ArithmeticError on overflow.
-    """
+    """<v, e^{lam dGamma(O)} v> for the squeezed vacuum v = e^K vac and the
+    diagonal O = diag(weights), one real weight per mode: the squared norm of
+    exp((lam/2) occupations @ weights) v.  Raises ValueError on a non-finite
+    lam, weights that are not one finite real number per mode, or a truncation
+    estimate above required_accuracy; ArithmeticError on overflow."""
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite (got {lam!r})")
-    o_small = np.asarray(o_small, dtype=complex)
-    if o_small.shape != (space.modes, space.modes) or not np.isfinite(o_small).all():
-        raise ValueError("one-body matrix o_small must be finite and modes x modes")
-    if not np.allclose(o_small, o_small.conj().T, rtol=0, atol=1e-13):
-        raise ValueError("one-body matrix must be Hermitian")
+    o = np.asarray(weights)
+    if o.shape != (space.modes,) or o.dtype.kind not in "iuf" or not np.isfinite(o).all():
+        raise ValueError("weights must hold one finite real number per mode")
     v, est = squeezed_vacuum(space, nu_by_pair)
-    diag = o_small.diagonal().real
-    if np.count_nonzero(o_small - np.diag(diag)) == 0:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            w = np.exp(0.5 * lam * (space.occupations @ diag)) * v
-    else:
-        words = [(d[live], val[live], live) for d, val in
-                 _dgamma(space, 0.5 * lam * o_small, np.arange(space.dim))
-                 for live in [np.flatnonzero(val)]]
-
-        def apply(x, out):
-            out.fill(0.0)
-            for d, val, live in words:
-                out[d] += val * x[live]
-            return out
-
-        # each word's largest value, summed, bounds the 1-norm
-        w = _expm_apply(apply, v, sum(np.abs(val).max(initial=0.0)
-                                      for _, val, _ in words))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        w = np.exp(0.5 * lam * (space.occupations @ o)) * v
     value = float(np.vdot(w, w).real)
     if not math.isfinite(value):
         raise ArithmeticError(f"oracle value overflowed at lam={lam:.6g}")

@@ -19,6 +19,7 @@ from bose_genfun.fockoracle import (
     bogoliubov_action_defect,
     build_space,
     mgf_oracle,
+    squeezed_vacuum,
 )
 from bose_genfun.genfun import (
     cumulants,
@@ -40,7 +41,7 @@ from bose_genfun.spectrum import (
     log_mgf_derivatives,
 )
 from bose_genfun.tails import chernoff_bound, nonconcentration_witness, quadratic_bound
-from fock_reference import depletion_distribution
+from fock_reference import depletion_distribution, pair_amplitudes
 from kernel_reference import (certified_domain, kernel_from_nu, log_mgf_dense,
                               log_mgf_general, observable_identity)
 
@@ -119,11 +120,11 @@ def test_criterion_4_fock_truncation_convergence():
     nu, lam = -0.4, 0.25
     s2, c2 = math.sinh(nu) ** 2, math.cosh(nu) ** 2
     closed = 1.0 / (c2 - math.exp(2 * lam) * s2)
-    conv = mgf_oracle(build_space(1, 40), [nu], np.eye(2), lam).value
+    conv = mgf_oracle(build_space(1, 40), [nu], np.ones(2), lam).value
     ok_conv = abs(conv - closed) <= 1e-10
     sizes = np.array([6, 9, 12, 15])
     defects = np.array([
-        abs(mgf_oracle(build_space(1, int(n)), [nu], np.eye(2), lam,
+        abs(mgf_oracle(build_space(1, int(n)), [nu], np.ones(2), lam,
                        required_accuracy=1.0).value - closed)
         for n in sizes])
     rate = math.exp(np.polyfit(sizes, np.log(defects), 1)[0])
@@ -162,11 +163,12 @@ def test_criterion_5_observable_exponent_four_routes():
         fock_of_lat[i1], fock_of_lat[i2] = 2 * j, 2 * j + 1
     lat_of_fock = np.argsort(fock_of_lat)
     nu_by_pair = [k.nu[i1] for (i1, _) in DESK.pairs]
-    ref = mgf_oracle(build_space(2, 10), nu_by_pair,
-                     obs.o[np.ix_(lat_of_fock, lat_of_fock)], span,
-                     required_accuracy=1e-8)
-    oracle_gap = abs(log_mgf_general(k, obs, [span])[0] - math.log(ref.value))
-    ok_oracle = oracle_gap <= 1e-6
+    space = build_space(2, 10)
+    truncation = squeezed_vacuum(space, nu_by_pair)[1]
+    ref = pair_amplitudes(space, nu_by_pair, obs.o[np.ix_(lat_of_fock, lat_of_fock)],
+                          span)[1].real
+    oracle_gap = abs(log_mgf_general(k, obs, [span])[0] - math.log(ref))
+    ok_oracle = oracle_gap <= 1e-6 and truncation <= 1e-8
 
     id_gap = abs(log_mgf_general(k, observable_identity(DESK), [0.8])[0]
                  - log_mgf_closed(k, 0.8))
@@ -174,7 +176,8 @@ def test_criterion_5_observable_exponent_four_routes():
     ok = ok_routes and ok_oracle and ok_id
     line = _report(5, ok, f"solver routes differ by {route_gap:.3e} <= 1e-10, "
                           f"determinant vs Neumann gap {det_gap:.3e} <= 1e-12, "
-                          f"Fock oracle gap {oracle_gap:.3e} <= 1e-6, identity "
+                          f"Fock oracle gap {oracle_gap:.3e} <= 1e-6 (truncation "
+                          f"{truncation:.3e} <= 1e-8), identity "
                           f"reduction gap {id_gap:.3e} <= 1e-8, pair symmetry "
                           f"residual {sym_worst:.3e} <= 1e-10")
     assert ok, line

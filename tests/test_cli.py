@@ -445,6 +445,39 @@ def test_oracle_one_pair_shallow_space_names_each_check_once(tmp_path):
     assert all(r["status"] == "pass" for r in rows)
 
 
+@pytest.mark.parametrize("command, oracle", [
+    ("genfun", {"pairs": 3, "n_max": 10}),
+    ("moments", {"pairs": 2, "n_max": 11}),  # (11 + 1)^4 = 20 736 > DIM_CAP
+    ("scattering", {"pairs": 1, "n_max": 1}),
+], ids=["pairs", "dimension", "n-max"])
+def test_oracle_section_is_checked_for_every_command(tmp_path, capsys, command, oracle):
+    # the config is valid or not whatever the command: a command that never
+    # builds a Fock space still refuses an oracle section out of range
+    code, text = run(tmp_path, command, dict(BASE, oracle=oracle))
+    assert code == 2 and text is None
+    err = capsys.readouterr().err
+    assert err.startswith("config error: oracle: ") and err.count("\n") == 1
+
+
+_IMPORT_PROBE = """
+import sys
+import bose_genfun.cli
+print(sorted(m for m in sys.modules if m.startswith("bose_genfun.")))
+"""
+
+
+def test_importing_the_cli_does_not_load_the_oracle():
+    # perfbench times this import; the oracle module loads only for an
+    # oracle section or the oracle command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True,
+                          text=True, env=env, check=True, timeout=60)
+    assert "bose_genfun.cli" in proc.stdout
+    assert "bose_genfun.fockoracle" not in proc.stdout
+
+
 def test_config_error_paths(tmp_path):
     out = tmp_path / "x.txt"
     assert main(["genfun", "--config", str(tmp_path / "nope.json"),
@@ -645,6 +678,50 @@ def test_config_fuzz_never_exits_5(tmp_path, capsys, cfg):
         err = capsys.readouterr().err
         assert code in (0, 2, 3), (command, code, err)
         assert err.count("\n") + len(caught) <= 1, (command, err, caught)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_json_reports_on_a_zero_potential_are_strict_json(tmp_path, command):
+    # lambda0 is infinite for a zero potential, and so are the tails rows
+    # above a zero mean; RFC 8259 has no Infinity, so they are strings
+    body = {"potential": {"kind": "zero"}, "cutoff_m": 2, "n_list": [0.0, 0.5],
+            "lambda_grid": {"min": -0.5, "max": 0.5, "count": 3},
+            "observable": {"kind": "random", "pairs": 2, "seed": 7},
+            "oracle": {"pairs": 1, "n_max": 10}, "output": {"format": "json"}}
+    code, text = run(tmp_path, command, body)
+    assert code == 0
+    doc = _strict_json(text)
+    assert doc["meta"]["lambda0"] == "inf"
+    if command == "tails":
+        above = [r for r in doc["rows"] if r["bound_type"] == "chernoff" and r["n"] == 0.5]
+        assert above and above[0]["lambda_star"] == "inf"
+        assert above[0]["exponent"] == "inf" and above[0]["bound"] == 0.0
+
+
+def test_json_oracle_failure_row_is_strict_json(tmp_path):
+    breach = {"potential": {"kind": "direct", "a": 2.0}, "cutoff_m": 1,
+              "oracle": {"pairs": 2, "n_max": 4}, "output": {"format": "json"}}
+    code, text = run(tmp_path, "oracle", breach)
+    assert code == 4
+    (failure,) = [r for r in _strict_json(text)["rows"] if r["check"] == "oracle_failure"]
+    assert failure["value"] == "inf"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_report_file_has_the_mode_of_a_plain_write(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        code, _ = run(tmp_path, "moments", BASE)
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert os.stat(tmp_path / "out.txt").st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -371,11 +371,11 @@ def test_closed_form_against_fock_oracle_two_pairs():
     lat = lattice_from_vectors([(1, 0, 0), (0, 1, 0)])
     k = kernel_from_nu(lat, [nu] * 4)
     lam = 0.5 * k.lambda0
-    one = mgf_oracle(build_space(1, 40), [nu], np.eye(2), lam).value
+    one = mgf_oracle(build_space(1, 40), [nu], np.ones(2), lam).value
     assert math.log(one * one) == pytest.approx(
         log_mgf_closed(k, lam), abs=1e-10)
     # and the genuine 2-pair space agrees within its truncation budget
-    two = mgf_oracle(build_space(2, 10), [nu, nu], np.eye(4), lam,
+    two = mgf_oracle(build_space(2, 10), [nu, nu], np.ones(4), lam,
                      required_accuracy=1e-2)
     assert math.log(two.value) == pytest.approx(
         log_mgf_closed(k, lam), abs=1e-3)
