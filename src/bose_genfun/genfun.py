@@ -20,10 +20,11 @@ g(lambda) = e^{2l} s^2 / (c^2 - e^{2l} s^2) satisfies g' = 2g + 2g^2, so
 every derivative of Lambda is an exact integer polynomial in g.
 
 The quadrature is QUADPACK's 21-point Gauss-Kronrod rule and error estimate
-(qk21), summed as weight-vector products, with qag's worst-panel bisection and
-no extrapolation: log_mgf_grid refines every gap of a grid in lock-step to tol
-and tallies evaluations and error estimates in a QuadratureStats.  A gap above
-tol at _MAX_PANELS panels sits on a rounding floor: ArithmeticError; loosen tol.
+(qk21), summed as weight-vector products: log_mgf_grid takes one qk21 pass over
+every gap of a grid, then runs qag (worst-panel bisection, no extrapolation)
+gap by gap to tol, and tallies evaluations and error estimates in a
+QuadratureStats.  A gap above tol at _MAX_PANELS panels sits on a rounding
+floor: ArithmeticError; loosen tol.
 """
 
 from __future__ import annotations
@@ -148,52 +149,40 @@ def log_mgf_closed(k: SpectrumKernel, lam: float) -> float:
 
 def _integrate_gaps(f, lo: np.ndarray, hi: np.ndarray, tol: float,
                     stats: QuadratureStats | None) -> np.ndarray:
-    """int_lo^hi f for every gap, adaptively and in lock-step; f maps an
-    array of nodes to integrand values.  QUADPACK's qag rule without qags'
-    extrapolation: each round, every gap whose summed error exceeds
-    max(tol, tol |I_gap|) bisects its worst panel, and the halves of all
-    those panels share one integrand call; a gap's area and error update as
-    in QUADPACK.  A zero-length gap costs nothing; a gap that would need
-    more than _MAX_PANELS panels raises ArithmeticError."""
-    gaps = np.flatnonzero(lo != hi)  # the gap of each panel
-    pa, pb = lo[gaps], hi[gaps]
-    pres, perr = _qk21(f, pa, pb)
-    area, errsum = np.zeros(lo.size), np.zeros(lo.size)
-    area[gaps], errsum[gaps] = pres, perr
+    """int_lo^hi f for every gap; f maps an array of nodes to integrand
+    values.  One qk21 pass, a single call of f, takes every gap's first
+    panel; then QUADPACK's qag rule without qags' extrapolation refines each
+    gap above max(tol, tol |I_gap|) on its own, and raises ArithmeticError
+    once one holds _MAX_PANELS panels.  A zero-length gap costs nothing."""
+    gaps = np.flatnonzero(lo != hi)
+    value, errsum = np.zeros(lo.size), np.zeros(lo.size)
     evals = 21 * gaps.size
-    active = gaps
-    while True:
-        active = active[errsum[active] > np.maximum(tol, tol * np.abs(area[active]))]
-        if not active.size:
-            break
-        full = active[np.bincount(gaps, minlength=lo.size)[active] >= _MAX_PANELS]
-        if full.size:
-            g = full[0]
-            raise ArithmeticError(
-                f"quadrature on [{lo[g]:.9g}, {hi[g]:.9g}] did not converge: "
-                f"{_MAX_PANELS} panels leave an error estimate of {errsum[g]:.3g} "
-                f"above tol={tol:.3g}; loosen the tolerance (quadrature.tol)")
-        # the worst panel of every gap, in gap order like active
-        order = np.lexsort((-perr, gaps))
-        first = order[np.r_[True, gaps[order][1:] != gaps[order][:-1]]]
-        worst = first[np.isin(gaps[first], active)]
-        a, b = pa[worst], pb[worst]
-        mid = 0.5 * (a + b)
-        res, err = _qk21(f, np.concatenate((a, mid)), np.concatenate((mid, b)))
-        evals += 21 * res.size
-        n = active.size
-        errsum[active] = errsum[active] + (err[:n] + err[n:]) - perr[worst]
-        area[active] = area[active] + (res[:n] + res[n:]) - pres[worst]
-        # the left half takes the bisected panel's place, the right is appended
-        pb[worst], pres[worst], perr[worst] = mid, res[:n], err[:n]
-        gaps = np.concatenate((gaps, active))
-        pa, pb = np.concatenate((pa, mid)), np.concatenate((pb, b))
-        pres, perr = np.concatenate((pres, res[n:])), np.concatenate((perr, err[n:]))
+    for g, res, err in zip(gaps, *_qk21(f, lo[gaps], hi[gaps])):
+        panels, pres, perr = [(lo[g], hi[g])], [res], [err]
+        area, esum = res, err
+        while esum > max(tol, tol * abs(area)):
+            if len(perr) >= _MAX_PANELS:
+                raise ArithmeticError(
+                    f"quadrature on [{lo[g]:.9g}, {hi[g]:.9g}] did not converge: "
+                    f"{_MAX_PANELS} panels leave an error estimate of {esum:.3g} "
+                    f"above tol={tol:.3g}; loosen the tolerance (quadrature.tol)")
+            # bisect the first worst panel; area and error update as in QUADPACK
+            w = perr.index(max(perr))
+            a, b = panels[w]
+            mid = 0.5 * (a + b)
+            (r1, r2), (e1, e2) = _qk21(f, np.array([a, mid]), np.array([mid, b]))
+            evals += 42
+            esum = esum + (e1 + e2) - perr[w]
+            area = area + (r1 + r2) - pres[w]
+            panels[w], pres[w], perr[w] = (a, mid), r1, e1
+            panels.append((mid, b))
+            pres.append(r2)
+            perr.append(e2)
+        value[g], errsum[g] = sum(pres), esum  # QUADPACK's plain sum, too
     if stats is not None:
         stats.evals += evals
         stats.abserr_max = max(stats.abserr_max, float(np.max(errsum)))
-    # QUADPACK, too, returns the plain sum of a gap's panel values
-    return np.bincount(gaps, weights=pres, minlength=lo.size)
+    return value
 
 
 def log_mgf_grid(k: SpectrumKernel, lams: np.ndarray, tol: float = 1e-10,

@@ -2,11 +2,12 @@
 
 The upper tail P[N_+ >= n] is bounded by exp(-sup_{0<lambda<lambda0}
 [lambda n - Lambda(lambda)]); the supremum sits where Lambda'(lambda) = n,
-which Newton's method solves on the closed-form Lambda' and Lambda''.  A
-cruder closed-form bound from the quadratic expansion of Lambda is provided
-for comparison, and a Paley-Zygmund-style witness certifies that the
-distribution genuinely spreads over a window of width ~ sigma around the
-mean.
+which Newton's method solves on the closed-form Lambda' and Lambda''.  The
+Gaussian (second-cumulant) estimate from the quadratic expansion of Lambda
+is reported for comparison; it is not a bound, since every cumulant is
+positive, so it never exceeds Chernoff and can fall below the true tail.  A
+Paley-Zygmund-style witness certifies that the distribution genuinely
+spreads over a window of width ~ sigma around the mean.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ class NonConcentrationWitness:
     fourth_moment: float
 
 
-def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float, int]:
+def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float, int, str]:
     """lambda in (0, lambda0) with Lambda'(lambda) = n > mu, Lambda there,
-    and the number of engine calls spent.
+    the number of engine calls spent and a note.
 
     Lambda' rises from mu at 0 to +inf at lambda0 and is convex on
     (0, lambda0) (g > 0 there and every derivative polynomial of g has
@@ -50,22 +51,24 @@ def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float, int]:
     Lambda' > n decreases monotonically onto the root.  Such a point is found by
     bisecting towards lambda0; Newton then returns as soon as |Lambda' - n|
     <= 4 * 2^-52 * n, or else once its step stops shrinking (the rounding
-    floor).  Engine calls are capped so that no input can keep it running.
+    floor).  If the root lies past the last float below lambda0, the last
+    lambda tried is returned: any lambda in (0, lambda0) gives a valid bound.
+    Engine calls are capped so that no input can keep it running.
     """
     lam, step = 0.5 * k.lambda0, math.inf
     for calls in range(1, _ENGINE_CALL_CAP + 1):
         value, slope, curv = log_mgf_derivatives(k, lam, 2)
         if step == math.inf and slope <= n:  # left of the root
-            lam = 0.5 * (lam + k.lambda0)
+            lam, tried = 0.5 * (lam + k.lambda0), lam
             if lam == k.lambda0:  # n is past every float below lambda0
-                break
+                return tried, value, calls, "optimum past float resolution below lambda0"
             continue
         new_step = (slope - n) / curv
         if abs(slope - n) <= 4 * 2.0**-52 * n or not abs(new_step) < abs(step):
-            return lam, value, calls
+            return lam, value, calls, ""
         lam, step = lam - new_step, new_step
     raise ArithmeticError(f"no lambda in (0, {k.lambda0}) with Lambda' = {n} "
-                          f"after {_ENGINE_CALL_CAP} closed-form evaluations")
+                          f"after {calls} closed-form evaluations")
 
 
 def chernoff_bound(k: SpectrumKernel, n: float, mu: float) -> TailBound:
@@ -84,17 +87,18 @@ def chernoff_bound(k: SpectrumKernel, n: float, mu: float) -> TailBound:
     if n <= mu:
         return TailBound(n=n, lambda_star=0.0, exponent=0.0, bound=1.0,
                          note="n does not exceed the mean; trivial bound")
-    lam_star, value, calls = _solve_slope(k, n)
+    lam_star, value, calls, note = _solve_slope(k, n)
     exponent = max(lam_star * n - value, 0.0)
     return TailBound(n=n, lambda_star=lam_star, exponent=exponent,
-                     bound=math.exp(-exponent), engine_calls=calls)
+                     bound=math.exp(-exponent), note=note, engine_calls=calls)
 
 
 def quadratic_bound(k: SpectrumKernel, n: float, mu: float,
                     var: float) -> TailBound:
-    """Closed-form tail bound from the quadratic model lambda*mu +
-    lambda^2 var/2 of the exponent, optimized over (0, lambda0]; mu and
-    var are the mean and variance."""
+    """Gaussian (second-cumulant) tail estimate from the quadratic model
+    lambda*mu + lambda^2 var/2 of Lambda, optimized over (0, lambda0]; mu
+    and var are the mean and variance.  Not a bound: Lambda lies above the
+    model, so the estimate can fall below the true tail."""
     if n <= mu:
         return TailBound(n=n, lambda_star=0.0, exponent=0.0, bound=1.0,
                          note="n does not exceed the mean; trivial bound")

@@ -176,6 +176,20 @@ def test_tails_default_and_override(tmp_path):
         == {"0.5", "1.5"}
 
 
+def test_tails_threshold_past_float_resolution(tmp_path):
+    # Lambda' passes 1e16 only past the last float below lambda0: the row
+    # keeps the last lambda tried, a valid bound, and says so in its note
+    code, text = run(tmp_path, "tails", BASE, extra=("--n-list", "1e15,1e16,1e308"))
+    assert code == 0
+    meta, _, rows = parse_csv(text)
+    rows = [r for r in rows if r["bound_type"] == "chernoff"]
+    past = "optimum past float resolution below lambda0"
+    assert [r["note"] for r in rows] == ["", past, past]
+    for r in rows[1:]:
+        assert float(r["bound"]) <= float(rows[0]["bound"])
+        assert 0.0 < float(r["lambda_star"]) < float(meta["lambda0"])
+
+
 def test_tails_reports_the_chernoff_engine_calls(tmp_path, monkeypatch):
     # one counter per Chernoff row, fed by every closed-form engine call
     # the tails module makes while that row is solved

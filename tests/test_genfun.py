@@ -213,6 +213,29 @@ def test_grid_matches_quadpack_next_to_lambda0(below):
     assert ours.evals == ref.evals > 21
 
 
+@pytest.mark.parametrize("a, evals", [(1e-4, 1596), (0.02, 1806)])
+def test_many_gaps_refine_as_quadpack_and_each_gap_alone(a, evals):
+    # 60 points hugging lambda0: most gaps refine, each to QUADPACK's panels
+    k = build_kernel(build_lattice(10), 16.0 * math.pi * a)
+    pts = k.lambda0 * (1.0 - np.logspace(-1, -9, 60))
+    ours, ref = QuadratureStats(), QuadratureStats()
+    got = log_mgf_grid(k, pts, stats=ours)
+    want = log_mgf_grid_quadpack(k, pts, stats=ref)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert ours.evals == ref.evals == evals
+    # a gap's bits and evaluation count do not depend on the other gaps
+    lo = np.concatenate(([0.0], pts[:-1]))
+    f = lambda x: integrand_diagonal(k, x)
+    together = QuadratureStats()
+    every = genfun._integrate_gaps(f, lo, pts, 1e-10, together)
+    alone = QuadratureStats()
+    one = [genfun._integrate_gaps(f, lo[i:i + 1], pts[i:i + 1], 1e-10, alone)[0]
+           for i in range(pts.size)]
+    assert every.tolist() == one
+    assert together.evals == alone.evals == evals
+    assert together.abserr_max == alone.abserr_max == ours.abserr_max
+
+
 def test_quadrature_non_convergence_raises(monkeypatch):
     # one QUADPACK panel cannot reach 1e-10 at 0.9 lambda0; every route must
     # say so rather than return the unconverged value

@@ -120,12 +120,24 @@ def test_newton_stops_at_the_root(kernel, monkeypatch):
         assert abs(log_mgf_derivatives(k, b.lambda_star, 1)[1] - n) <= 1e-10 * n
 
 
-def test_chernoff_unreachable_threshold_raises():
+def test_chernoff_unreachable_threshold_raises(monkeypatch):
     # Lambda' has a float64 ceiling below lambda0; a threshold above it is
-    # reported, not searched for forever
+    # reported, not searched for forever: the bisection towards lambda0 stops
+    # at the last float it tried, which still gives a valid bound
     k = two_pair_kernel()
-    with pytest.raises(ArithmeticError):
-        chernoff_bound(k, 1e300, depletion_mean(k))
+    mu = depletion_mean(k)
+    reachable = chernoff_bound(k, 1e15, mu)
+    for n in (1e20, 1e300):
+        b = chernoff_bound(k, n, mu)
+        assert b.note == "optimum past float resolution below lambda0"
+        assert 0.0 < b.lambda_star < k.lambda0
+        assert b.exponent == pytest.approx(
+            b.lambda_star * n - log_mgf_closed(k, b.lambda_star), rel=1e-15)
+        assert b.exponent >= reachable.exponent and b.engine_calls < 100
+    # a cap below the bisection's length raises, naming the calls it made
+    monkeypatch.setattr(tails, "_ENGINE_CALL_CAP", 20)
+    with pytest.raises(ArithmeticError, match="after 20 closed-form"):
+        chernoff_bound(k, 1e300, mu)
 
 
 def test_quadratic_bound_formulas():
@@ -150,12 +162,19 @@ def test_quadratic_never_beats_chernoff_here():
     # every cumulant of the depletion law is positive, so the quadratic
     # model UNDERestimates Lambda and its "bound" is the optimistic one;
     # the direction is documented, not the reverse
-    k = two_pair_kernel()
-    mu, var = depletion_mean(k), variance(k)
-    for j in (0.5, 1.0, 2.0, 4.0):
-        n = mu + j * math.sqrt(var)
-        assert (quadratic_bound(k, n, mu, var).bound
-                <= chernoff_bound(k, n, mu).bound + 1e-15)
+    for nu in (NU, -0.05):
+        k = kernel_from_nu(LAT, [nu] * 4)
+        mu, var = depletion_mean(k), variance(k)
+        for j in (0.5, 1.0, 2.0, 4.0):
+            n = mu + j * math.sqrt(var)
+            assert (quadratic_bound(k, n, mu, var).bound
+                    <= chernoff_bound(k, n, mu).bound + 1e-15)
+    # and it is no bound at all: at nu = -0.05 it falls below the exact tail
+    vals, probs = depletion_distribution([-0.05, -0.05], j_cap=400)
+    tail = float(probs[vals >= 2.0].sum())
+    assert tail == pytest.approx(4.985e-3, rel=1e-3)
+    assert quadratic_bound(k, 2.0, mu, var).bound < tail
+    assert chernoff_bound(k, 2.0, mu).bound > tail
 
 
 def test_chernoff_bound_is_valid_against_exact_law():
