@@ -239,5 +239,5 @@ def fourth_central_printed_combination(k: SpectrumKernel, sig2: float) -> float:
     """The alternative printed fourth-moment combination 12 sigma^4 + 8 sigma^2
     + 48 sum c^4 s^4, reported for comparison and never asserted; sig2 is
     the caller's sigma^2 (cumulants(k, .).kappa[2])."""
-    quart = math.fsum(((k.c * k.s) ** 4).tolist())
+    quart = math.fsum(np.square(np.square(k.c * k.s)).tolist())
     return 12.0 * sig2 ** 2 + 8.0 * sig2 + 48.0 * quart

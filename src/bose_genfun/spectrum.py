@@ -118,13 +118,13 @@ def log_mgf_derivatives(k: SpectrumKernel, lam: float, order: int) -> list[float
     Lambda^(j) sums an integer polynomial in g.
     """
     _check_domain(k, lam)
-    s2 = k.s * k.s
-    xs2 = math.exp(2.0 * lam) * s2
+    s2 = k.s * k.s  # past lam = 354.9 e^{2 lam} overflows, e^lam s does not
+    xs2 = math.exp(2.0 * lam) * s2 if lam < 354.0 else (math.exp(lam) * k.s) ** 2
+    dxs2 = math.expm1(2.0 * lam) * s2 if lam < 354.0 else xs2  # expm1 = exp there
     args = k.c * k.c - xs2
     if np.any(args <= 0.0):
         raise ValueError("log argument nonpositive: lambda outside domain")
-    out = [0.0 if lam == 0.0
-           else -0.5 * math.fsum(np.log1p(-math.expm1(2.0 * lam) * s2).tolist())]
+    out = [0.0 if lam == 0.0 else -0.5 * math.fsum(np.log1p(-dxs2).tolist())]
     if order >= 1:
         g = xs2 / args  # polynomial coefficients start at g^1
         out += [math.fsum((np.polyval(coeffs[::-1], g) * g).tolist())

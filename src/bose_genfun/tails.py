@@ -2,7 +2,7 @@
 
 The upper tail P[N_+ >= n] is bounded by exp(-sup_{0<lambda<lambda0}
 [lambda n - Lambda(lambda)]); the supremum sits where Lambda'(lambda) = n,
-which Newton's method solves on the closed-form Lambda' and Lambda''.  The
+which Newton's method solves on log Lambda' from a closed-form start.  The
 Gaussian (second-cumulant) estimate from the quadratic expansion of Lambda
 is reported for comparison; it is not a bound, since every cumulant is
 positive, so it never exceeds Chernoff and can fall below the true tail.  A
@@ -41,32 +41,32 @@ class NonConcentrationWitness:
     fourth_moment: float
 
 
-def _solve_slope(k: SpectrumKernel, n: float) -> tuple[float, float, int, str]:
-    """lambda in (0, lambda0) with Lambda'(lambda) = n > mu, Lambda there,
-    the number of engine calls spent and a note.
+def _solve_slope(k: SpectrumKernel, n: float, mu: float) -> tuple[float, float, int, str]:
+    """lambda in (0, lambda0) with Lambda'(lambda) = n > mu (the mean), Lambda
+    there, the number of engine calls spent and a note.
 
-    Lambda' rises from mu at 0 to +inf at lambda0 and is convex on
-    (0, lambda0) (g > 0 there and every derivative polynomial of g has
-    positive coefficients), so Newton started from any point where
-    Lambda' > n decreases monotonically onto the root.  Such a point is found by
-    bisecting towards lambda0; Newton then returns as soon as |Lambda' - n|
-    <= 4 * 2^-52 * n, or else once its step stops shrinking (the rounding
-    floor).  If the root lies past the last float below lambda0, the last
-    lambda tried is returned: any lambda in (0, lambda0) gives a valid bound.
-    Engine calls are capped so that no input can keep it running.
+    Every per-mode slope g is log-convex, so log Lambda' is convex and Newton
+    on it decreases monotonically onto the root from any start right of it.
+    Two closed-form points are never left of the root: 1/2 log(n/mu), as
+    Lambda' >= mu e^{2 lambda} for lambda >= 0 (every c^2 - e^{2 lambda} s^2
+    is at most 1), and lambda0 - 1/2 log1p(m1/n), where the m1 modes of
+    largest |t| alone give Lambda' = n.  Newton starts at the smaller and
+    returns once Lambda' - n <= 4 * 2^-52 * n or its step no longer moves
+    lambda.  The start is at most the last float below lambda0; a second
+    point that rounds to lambda0 is noted, as any lambda in (0, lambda0)
+    still gives a valid bound.  Engine calls are capped.
     """
-    lam, step = 0.5 * k.lambda0, math.inf
+    abs_t = np.abs(k.t)
+    lam = k.lambda0 - 0.5 * math.log1p(np.count_nonzero(abs_t == abs_t.max()) / n)
+    note = "optimum past float resolution below lambda0" if lam == k.lambda0 else ""
+    lam = min(lam, math.nextafter(k.lambda0, 0.0),
+              0.5 * math.log(n / mu) if mu > 0.0 else math.inf)
     for calls in range(1, _ENGINE_CALL_CAP + 1):
         value, slope, curv = log_mgf_derivatives(k, lam, 2)
-        if step == math.inf and slope <= n:  # left of the root
-            lam, tried = 0.5 * (lam + k.lambda0), lam
-            if lam == k.lambda0:  # n is past every float below lambda0
-                return tried, value, calls, "optimum past float resolution below lambda0"
-            continue
-        new_step = (slope - n) / curv
-        if abs(slope - n) <= 4 * 2.0**-52 * n or not abs(new_step) < abs(step):
-            return lam, value, calls, ""
-        lam, step = lam - new_step, new_step
+        step = math.log(slope / n) * slope / curv if slope > n else 0.0
+        if slope - n <= 4 * 2.0**-52 * n or lam - step == lam:
+            return lam, value, calls, note
+        lam -= step
     raise ArithmeticError(f"no lambda in (0, {k.lambda0}) with Lambda' = {n} "
                           f"after {calls} closed-form evaluations")
 
@@ -87,7 +87,7 @@ def chernoff_bound(k: SpectrumKernel, n: float, mu: float) -> TailBound:
     if n <= mu:
         return TailBound(n=n, lambda_star=0.0, exponent=0.0, bound=1.0,
                          note="n does not exceed the mean; trivial bound")
-    lam_star, value, calls, note = _solve_slope(k, n)
+    lam_star, value, calls, note = _solve_slope(k, n, mu)
     exponent = max(lam_star * n - value, 0.0)
     return TailBound(n=n, lambda_star=lam_star, exponent=exponent,
                      bound=math.exp(-exponent), note=note, engine_calls=calls)

@@ -122,22 +122,69 @@ def test_newton_stops_at_the_root(kernel, monkeypatch):
 
 def test_chernoff_unreachable_threshold_raises(monkeypatch):
     # Lambda' has a float64 ceiling below lambda0; a threshold above it is
-    # reported, not searched for forever: the bisection towards lambda0 stops
-    # at the last float it tried, which still gives a valid bound
+    # reported, not searched for: its closed-form start rounds to lambda0, and
+    # the last float below lambda0 still gives a valid bound
     k = two_pair_kernel()
     mu = depletion_mean(k)
     reachable = chernoff_bound(k, 1e15, mu)
     for n in (1e20, 1e300):
         b = chernoff_bound(k, n, mu)
         assert b.note == "optimum past float resolution below lambda0"
-        assert 0.0 < b.lambda_star < k.lambda0
+        assert b.lambda_star == math.nextafter(k.lambda0, 0.0)
         assert b.exponent == pytest.approx(
             b.lambda_star * n - log_mgf_closed(k, b.lambda_star), rel=1e-15)
-        assert b.exponent >= reachable.exponent and b.engine_calls < 100
-    # a cap below the bisection's length raises, naming the calls it made
-    monkeypatch.setattr(tails, "_ENGINE_CALL_CAP", 20)
-    with pytest.raises(ArithmeticError, match="after 20 closed-form"):
-        chernoff_bound(k, 1e300, mu)
+        assert b.exponent >= reachable.exponent and b.engine_calls == 1
+    # a cap below the Newton solve's length raises, naming the calls it made
+    k = build_kernel(build_lattice(6), 0.5)
+    mu = depletion_mean(k)
+    n = mu + 10.0 * math.sqrt(variance(k))
+    assert chernoff_bound(k, n, mu).engine_calls > 2
+    monkeypatch.setattr(tails, "_ENGINE_CALL_CAP", 2)
+    with pytest.raises(ArithmeticError, match="after 2 closed-form"):
+        chernoff_bound(k, n, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 6), a=st.floats(1e-6, 5.0), j=st.floats(0.01, 1e4))
+def test_chernoff_starts_right_of_the_root_on_the_cube(m, a, j):
+    # both closed-form starts have Lambda' >= n, Newton starts at the smaller
+    # one, and the exponent is the supremum of lambda n - Lambda on (0, lambda0)
+    k = build_kernel(build_lattice(m), 16.0 * math.pi * a)
+    mu = depletion_mean(k)
+    n = mu + j * math.sqrt(variance(k))
+    abs_t = np.abs(k.t)
+    starts = [0.5 * math.log(n / mu),
+              k.lambda0 - 0.5 * math.log1p(np.count_nonzero(abs_t == abs_t.max()) / n)]
+    for lam in starts:
+        if lam < k.lambda0:
+            assert log_mgf_derivatives(k, lam, 1)[1] >= n
+    tried = []
+
+    def engine(k, lam, order):
+        tried.append(lam)
+        return log_mgf_derivatives(k, lam, order)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tails, "log_mgf_derivatives", engine)
+        b = chernoff_bound(k, n, mu)
+    assert tried[0] == min(starts) and b.engine_calls == len(tried) <= 8
+    sh = k.shells
+    grid = np.linspace(0.0, k.lambda0, 2003)[1:-1]
+    lam_grid = -0.5 * (sh.mult * np.log1p(-np.expm1(2.0 * grid[:, None]) * sh.s2)).sum(axis=1)
+    best = float(np.max(grid * n - lam_grid))
+    assert b.exponent >= best - 1e-12 * max(1.0, abs(b.exponent))
+
+
+@pytest.mark.parametrize("a", [1e-60, 1e-160, 1e-300])
+def test_chernoff_at_tiny_couplings(a):
+    # lambda0 = -log|t_1| passes 354.9, where e^{2 lambda} overflows, once
+    # a < ~1e-154; at 1e-300 the mean underflows to 0 as well.  P[N >= 1]
+    # scales as a, with the ratio the engine gives at a = 1e-60
+    k = build_kernel(build_lattice(3), 16.0 * math.pi * a)
+    b = chernoff_bound(k, 1.0, depletion_mean(k))
+    assert k.lambda0 > 354.9 or a == 1e-60
+    assert b.note == "" and 0.0 < b.lambda_star < k.lambda0
+    assert b.bound / a == pytest.approx(1.9521075887686, abs=1e-10)
 
 
 def test_quadratic_bound_formulas():
